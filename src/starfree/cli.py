@@ -38,14 +38,15 @@ from .families import (
     make_complete_bipartite,
     make_complete_split,
     make_complete_split_plus_edge,
-    radius_bound_general,
     threshold_report,
 )
 from .graphs import Graph, graph6_decode, graph6_encode
 from .search import (
     conjecture_margin_table,
     extremal_search,
+    verify_bipartite_spectra,
     verify_edge_bound,
+    verify_join_regular_bound,
     write_records,
 )
 from .spectra import (
@@ -203,15 +204,20 @@ def _cmd_search(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    if args.suite == "edge":
-        return _verify_edge(args)
+def _cmd_verify_suite(args) -> int:
     if args.suite == "lemma23":
-        return _verify_join_bound(args)
-    return _verify_bipartite(args)
+        result = verify_join_regular_bound(args.max_n, args.max_k, args.max_d)
+        title = f"join-regular radius suite: {result.checked} constructions"
+    else:
+        result = verify_bipartite_spectra(args.max_n, EnumerationCache())
+        title = f"bipartite suite: {result.checked} graphs"
+    lines = [f"{title}, {len(result.failures)} failure(s)"]
+    lines += [f"  {f}" for f in result.failures]
+    _emit(args, result.to_json_dict(), lines)
+    return EXIT_VIOLATIONS if result.failures else EXIT_OK
 
 
-def _verify_edge(args) -> int:
+def _cmd_verify_edge(args) -> int:
     forest = parse_star_forest(args.forest)
     cls = parse_graph_class(args.graph_class)
     violations = verify_edge_bound(args.n, forest, cls, EnumerationCache())
@@ -220,78 +226,12 @@ def _verify_edge(args) -> int:
         "n": args.n,
         "forest": forest.text(),
         "class": cls.value,
-        "violations": [
-            {"graph6": v.graph6, "edges": v.edges, "bound": v.bound} for v in violations
-        ],
+        "violations": [v.to_json_dict() for v in violations],
     }
     lines = [f"edge bound suite: {len(violations)} violation(s)"]
     lines += [f"  {v.graph6} e={v.edges} bound={v.bound}" for v in violations]
     _emit(args, payload, lines)
     return EXIT_VIOLATIONS if violations else EXIT_OK
-
-
-def _verify_join_bound(args) -> int:
-    """Equality/strictness suite for the clique-join-regular radius ceiling."""
-    from .graphs import edges as graph_edges, from_edges
-
-    tol = 1e-9
-    failures = []
-    checked = 0
-    for k in range(2, args.max_k + 1):
-        for d in range(1, args.max_d + 1):
-            for n in range(max(k + d - 1, k), args.max_n + 1):
-                try:
-                    g = make_clique_join_regular(n, k, d)
-                except StarfreeError:
-                    continue
-                checked += 1
-                bound = radius_bound_general(n, k, d)
-                rho = spectral_radius(g)
-                if abs(rho - bound) > tol:
-                    failures.append(f"equality failed at n={n} k={k} d={d}: rho={rho!r} bound={bound!r}")
-                if d >= 2:
-                    # deleting one matching edge must make the bound strict
-                    h_off = k - 1
-                    es = [e for e in graph_edges(g) if e[0] >= h_off and e[1] >= h_off]
-                    pruned = [e for e in graph_edges(g) if e != es[0]]
-                    g2 = from_edges(g.n, pruned)
-                    rho2 = spectral_radius(g2)
-                    if bound - rho2 <= 1e-6:
-                        failures.append(
-                            f"strictness failed at n={n} k={k} d={d}: rho'={rho2!r} bound={bound!r}"
-                        )
-    payload = {"suite": "lemma23", "checked": checked, "failures": failures}
-    lines = [f"join-regular radius suite: {checked} constructions, {len(failures)} failure(s)"]
-    lines += [f"  {f}" for f in failures]
-    _emit(args, payload, lines)
-    return EXIT_VIOLATIONS if failures else EXIT_OK
-
-
-def _verify_bipartite(args) -> int:
-    """Bipartite scan invariants: spectral symmetry and the triangle-free
-    radius bound rho <= n/2."""
-    from .enumeration import GraphClass, enumerate_graphs
-    from .graphs import is_triangle_free
-
-    tol = 1e-9
-    failures = []
-    checked = 0
-    cache = EnumerationCache()
-    for n in range(1, args.max_n + 1):
-        for g in enumerate_graphs(n, GraphClass.BIPARTITE, cache):
-            checked += 1
-            vals = adjacency_spectrum(g).eigenvalues
-            for lo, hi in zip(reversed(vals), vals):
-                if abs(lo + hi) > tol:
-                    failures.append(f"asymmetric spectrum at n={n} {graph6_encode(g)}")
-                    break
-            if is_triangle_free(g) and spectral_radius(g) > n / 2 + tol:
-                failures.append(f"triangle-free radius above n/2 at n={n} {graph6_encode(g)}")
-    payload = {"suite": "bipartite", "checked": checked, "failures": failures}
-    lines = [f"bipartite suite: {checked} graphs, {len(failures)} failure(s)"]
-    lines += [f"  {f}" for f in failures]
-    _emit(args, payload, lines)
-    return EXIT_VIOLATIONS if failures else EXIT_OK
 
 
 def _cmd_conjecture(args) -> int:
@@ -305,7 +245,7 @@ def _cmd_conjecture(args) -> int:
         "bound_value": table.bound_value,
         "max_margin": table.max_margin,
         "exceeders": list(table.exceeders),
-        "rows": [{"graph6": r.graph6, "q": r.q, "margin": r.margin} for r in table.rows],
+        "rows": [r.to_json_dict() for r in table.rows],
     }
     lines = [
         f"n={table.n} class={table.graph_class.value} forest={table.forest.text()}"
@@ -316,10 +256,7 @@ def _cmd_conjecture(args) -> int:
     lines += [f"  {r.graph6}  q={_sig(r.q)}  margin={_sig(r.margin)}" for r in table.rows]
     _emit(args, payload, lines)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            for r in table.rows:
-                fh.write(json.dumps({"graph6": r.graph6, "q": r.q, "margin": r.margin}, sort_keys=True))
-                fh.write("\n")
+        write_records(table.rows, args.out)
     return EXIT_OK
 
 
@@ -400,15 +337,15 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("n", type=int)
     pe.add_argument("forest")
     pe.add_argument("graph_class", nargs="?", default="all")
-    pe.set_defaults(fn=_cmd_verify)
+    pe.set_defaults(fn=_cmd_verify_edge)
     pl = vsub.add_parser("lemma23", help="join-regular radius equality and strictness")
     pl.add_argument("--max-n", type=int, default=20, dest="max_n")
     pl.add_argument("--max-k", type=int, default=4, dest="max_k")
     pl.add_argument("--max-d", type=int, default=3, dest="max_d")
-    pl.set_defaults(fn=_cmd_verify)
+    pl.set_defaults(fn=_cmd_verify_suite)
     pb = vsub.add_parser("bipartite", help="bipartite spectral symmetry and the triangle-free radius cap")
     pb.add_argument("--max-n", type=int, default=7, dest="max_n")
-    pb.set_defaults(fn=_cmd_verify)
+    pb.set_defaults(fn=_cmd_verify_suite)
 
     p = sub.add_parser("conjecture", help="signless-Laplacian margin table over a class")
     p.add_argument("n", type=int)

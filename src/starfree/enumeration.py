@@ -191,7 +191,3 @@ def enumerate_graphs(
         if graph_class.connected_only and not is_connected(entry.graph):
             continue
         yield entry.graph
-
-
-def count_graphs(n: int, graph_class: GraphClass, cache: EnumerationCache | None = None) -> int:
-    return sum(1 for _ in enumerate_graphs(n, graph_class, cache))

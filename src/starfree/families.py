@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .errors import (
@@ -72,8 +72,9 @@ class BoundReport:
 
 
 def _fraction_decimal(q: Fraction, digits: int = 40) -> str:
-    getcontext().prec = digits
-    return str(Decimal(q.numerator) / Decimal(q.denominator))
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return str(Decimal(q.numerator) / Decimal(q.denominator))
 
 
 # ---------------------------------------------------------------------------

@@ -129,11 +129,6 @@ def disjoint_copies(k: int, g: Graph) -> Graph:
     return out
 
 
-def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    return Graph(g.n, tuple((full & ~g.adj[v]) & ~(1 << v) for v in range(g.n)))
-
-
 def add_vertex(g: Graph, neighbour_mask: int) -> Graph:
     """Append vertex g.n adjacent to the vertices set in neighbour_mask."""
     if g.n + 1 > MAX_ORDER:
@@ -193,10 +188,6 @@ def edges(g: Graph) -> list[tuple[int, int]]:
             out.append((v, u))
             row &= row - 1
     return out
-
-
-def has_edge(g: Graph, u: int, v: int) -> bool:
-    return bool(g.adj[u] >> v & 1)
 
 
 def is_connected(g: Graph) -> bool:
@@ -489,10 +480,6 @@ def canonical_code(g: Graph, ceiling: int = CANONICAL_CEILING) -> CanonicalCode:
         raise OrderTooLarge(f"canonical labelling capped at order {ceiling}, got {g.n}")
     cols, _, _ = _min_code_search(g.n, g.adj)
     return CanonicalCode(g.n, _pack_cols(g.n, cols))
-
-
-def canonicalize(g: Graph, ceiling: int = CANONICAL_CEILING) -> Graph:
-    return canonical_form(g, ceiling).graph
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,16 @@ import json
 from dataclasses import dataclass
 
 from .enumeration import EnumerationCache, GraphClass, enumerate_graphs
-from .errors import DivisionByZeroK2, EmptyClass, ParamOutOfRange, ParseError
+from .errors import DivisionByZeroK2, EmptyClass, NoRegularGraph, ParamOutOfRange, ParseError
 from .families import (
+    make_clique_join_regular,
     order_threshold,
     radius_bound_bipartite,
     radius_bound_general,
     signless_radius_bound,
 )
-from .graphs import edge_count, graph6_encode
-from .spectra import signless_laplacian_radius, spectral_radius
+from .graphs import edge_count, edges, from_edges, graph6_encode, is_triangle_free
+from .spectra import adjacency_spectrum, signless_laplacian_radius, spectral_radius
 from .star_forests import StarForest, avoids_star_forest, coarse_edge_bound
 
 RHO_TIE_TOL = 1e-9
@@ -190,10 +191,77 @@ def merge_search_records(a: SearchRecord, b: SearchRecord) -> SearchRecord:
 
 
 @dataclass(frozen=True)
+class SuiteResult:
+    """Outcome of one property suite: cases checked and a message per failure."""
+
+    suite: str
+    checked: int
+    failures: tuple[str, ...]
+
+    def to_json_dict(self) -> dict:
+        return {"suite": self.suite, "checked": self.checked, "failures": list(self.failures)}
+
+
+def verify_join_regular_bound(max_n: int, max_k: int, max_d: int) -> SuiteResult:
+    """Equality and strictness of the general radius ceiling (t17).
+
+    For 2 <= k <= max_k, 1 <= d <= max_d and n <= max_n, the (k-1)-clique
+    joined to a (d-1)-regular graph must attain the ceiling to 1e-9; for
+    d >= 2, deleting the first edge inside the regular part must leave the
+    radius more than 1e-6 below it.  Parameters with no regular graph are
+    skipped; every other domain error propagates.
+    """
+    failures = []
+    checked = 0
+    for k in range(2, max_k + 1):
+        for d in range(1, max_d + 1):
+            for n in range(k + d - 1, max_n + 1):
+                try:
+                    g = make_clique_join_regular(n, k, d)
+                except NoRegularGraph:
+                    continue
+                checked += 1
+                bound = radius_bound_general(n, k, d)
+                rho = spectral_radius(g)
+                if abs(rho - bound) > RHO_TIE_TOL:
+                    failures.append(f"equality failed at n={n} k={k} d={d}: rho={rho!r} bound={bound!r}")
+                if d >= 2:
+                    es = edges(g)
+                    inner = next(e for e in es if e[0] >= k - 1)
+                    rho2 = spectral_radius(from_edges(g.n, [e for e in es if e != inner]))
+                    if bound - rho2 <= 1e-6:
+                        failures.append(
+                            f"strictness failed at n={n} k={k} d={d}: rho'={rho2!r} bound={bound!r}"
+                        )
+    return SuiteResult("lemma23", checked, tuple(failures))
+
+
+def verify_bipartite_spectra(max_n: int, cache: EnumerationCache | None = None) -> SuiteResult:
+    """Over every bipartite graph of order <= max_n: the spectrum is symmetric
+    about 0, and a triangle-free graph has radius at most n/2 (both to 1e-9)."""
+    if cache is None:
+        cache = EnumerationCache()
+    failures = []
+    checked = 0
+    for n in range(1, max_n + 1):
+        for g in enumerate_graphs(n, GraphClass.BIPARTITE, cache):
+            checked += 1
+            vals = adjacency_spectrum(g).eigenvalues
+            if any(abs(lo + hi) > RHO_TIE_TOL for lo, hi in zip(reversed(vals), vals)):
+                failures.append(f"asymmetric spectrum at n={n} {graph6_encode(g)}")
+            if is_triangle_free(g) and spectral_radius(g) > n / 2 + RHO_TIE_TOL:
+                failures.append(f"triangle-free radius above n/2 at n={n} {graph6_encode(g)}")
+    return SuiteResult("bipartite", checked, tuple(failures))
+
+
+@dataclass(frozen=True)
 class EdgeBoundViolation:
     graph6: str
     edges: int
     bound: int
+
+    def to_json_dict(self) -> dict:
+        return {"graph6": self.graph6, "edges": self.edges, "bound": self.bound}
 
 
 def verify_edge_bound(
@@ -223,6 +291,9 @@ class QMarginRow:
     graph6: str
     q: float
     margin: float
+
+    def to_json_dict(self) -> dict:
+        return {"graph6": self.graph6, "q": self.q, "margin": self.margin}
 
 
 @dataclass(frozen=True)
@@ -271,7 +342,7 @@ def conjecture_margin_table(
 
 
 def write_records(records, path) -> None:
-    """Write SearchRecords as JSON lines (sorted keys, no metadata)."""
+    """Write records (anything with ``to_json_dict``) as JSON lines (sorted keys, no metadata)."""
     with open(path, "w", encoding="ascii") as fh:
         for rec in records:
             fh.write(json.dumps(rec.to_json_dict(), sort_keys=True))

@@ -20,19 +20,21 @@ from starfree.families import (
     make_complete_bipartite,
     make_complete_split,
     radius_bound_bipartite,
-    radius_bound_general,
     signless_radius_bound,
 )
 from starfree.graphs import (
     canonical_code,
     edge_count,
-    edges,
-    from_edges,
     is_bipartite,
     is_connected,
     is_triangle_free,
 )
-from starfree.search import conjecture_margin_table, extremal_search, verify_edge_bound
+from starfree.search import (
+    conjecture_margin_table,
+    extremal_search,
+    verify_edge_bound,
+    verify_join_regular_bound,
+)
 from starfree.spectra import (
     adjacency_spectrum,
     least_eigenvalue,
@@ -78,22 +80,9 @@ def test_criterion_01_closed_form_equalities():
 
 def test_criterion_02_join_regular_equality_and_strictness():
     with criterion(2, "join-regular radius equality; one edge off makes it strict", budget=30):
-        checked = 0
-        for k in range(2, 6):
-            for d in range(1, 5):
-                for n in range(max(k, k + d - 1), 41):
-                    try:
-                        g = make_clique_join_regular(n, k, d)
-                    except NoRegularGraph:
-                        continue
-                    checked += 1
-                    bound = radius_bound_general(n, k, d)
-                    assert spectral_radius(g) == pytest.approx(bound, abs=TOL), (n, k, d)
-                    if d >= 2:
-                        inner = [e for e in edges(g) if e[0] >= k - 1 and e[1] >= k - 1]
-                        pruned = from_edges(g.n, [e for e in edges(g) if e != inner[0]])
-                        assert bound - spectral_radius(pruned) > 1e-6, (n, k, d)
-        assert checked > 300
+        result = verify_join_regular_bound(40, 5, 4)
+        assert result.failures == ()
+        assert result.checked > 300
 
 
 def test_criterion_03_containment_oracle_equivalence(cache):

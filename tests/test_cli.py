@@ -99,17 +99,30 @@ class TestSearchAndSuites:
 
     def test_verify_edge_clean(self, capsys):
         code, out, _ = run(capsys, "verify", "edge", "6", "1,1", "all")
-        assert code == 0
-        assert "0 violation" in out
+        assert (code, out) == (0, "edge bound suite: 0 violation(s)\n")
+        code, out, _ = run(capsys, "--json", "verify", "edge", "6", "1,1", "all")
+        assert (code, out) == (
+            0, '{"class": "all", "forest": "1,1", "n": 6, "suite": "edge", "violations": []}\n'
+        )
 
     def test_verify_lemma23_clean(self, capsys):
-        code, out, _ = run(capsys, "verify", "lemma23", "--max-n", "12", "--max-k", "3", "--max-d", "3")
-        assert code == 0
-        assert "0 failure" in out
+        argv = ("verify", "lemma23", "--max-n", "12", "--max-k", "3", "--max-d", "3")
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, "join-regular radius suite: 48 constructions, 0 failure(s)\n")
+        code, out, _ = run(capsys, "--json", *argv)
+        assert (code, out) == (0, '{"checked": 48, "failures": [], "suite": "lemma23"}\n')
+
+    def test_verify_lemma23_order_too_large(self, capsys):
+        argv = ("--json", "verify", "lemma23", "--max-n", "70", "--max-k", "2", "--max-d", "1")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "OrderTooLarge" in err
 
     def test_verify_bipartite_clean(self, capsys):
         code, out, _ = run(capsys, "verify", "bipartite", "--max-n", "6")
-        assert code == 0
+        assert (code, out) == (0, "bipartite suite: 61 graphs, 0 failure(s)\n")
+        code, out, _ = run(capsys, "--json", "verify", "bipartite", "--max-n", "6")
+        assert (code, out) == (0, '{"checked": 61, "failures": [], "suite": "bipartite"}\n')
 
     def test_violations_exit_three(self, capsys, monkeypatch):
         from starfree.search import EdgeBoundViolation

@@ -1,3 +1,4 @@
+import decimal
 import math
 from fractions import Fraction
 
@@ -257,6 +258,12 @@ class TestBoundReports:
         assert d["value"]["numerator"] == "1936"
         assert d["value"]["denominator"] == "1"
         assert d["value"]["decimal"] == "1936"
+
+    def test_report_json_leaves_decimal_context_alone(self):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 28
+            threshold_report("thm_3_1", StarForest((2, 2))).to_json_dict()
+            assert decimal.getcontext().prec == 28
 
     def test_c19_is_mirror(self):
         a = evaluate_bound("t18", 15, 4).value
