@@ -1,15 +1,23 @@
 """Isomorphism-free enumeration of small graphs by vertex augmentation.
 
-Each order-n class is produced exactly once: a candidate child (parent plus
-one new vertex) is kept only when deleting the last vertex of its canonical
-form gives back exactly the parent class.  Since "canonical form minus its
-last vertex" is a function of the isomorphism class alone, every class is
-accepted at precisely one parent; a per-level code table removes repeats of
-the same class arising from different attachment masks of that parent.
+Children (parent plus one new vertex) are generated by McKay's canonical
+augmentation: a child is accepted iff its new vertex lies in the
+automorphism orbit of the vertex that the canonical labelling puts last.
+That orbit is a function of the isomorphism class alone, so every class is
+accepted from exactly one parent class, the class of the child minus that
+vertex.  Two cheap necessary conditions run first, because the last
+canonical position belongs to the highest colour cell of the equitable
+partition, and a higher colour id never means a lower degree: the new
+vertex must have maximum degree in the child (integer work on the parent's
+degrees, no new graph), and it must lie in the highest colour cell of the
+child's equitable partition.  Only the children that pass both get a full
+canonical search.
 
 Attachment masks are first reduced to one representative per orbit of the
-parent's discovered automorphisms, which prunes most of the redundant work
-on symmetric parents.
+parent's automorphism generators, which prunes most of the redundant work
+on symmetric parents.  A code table that lives for one parent drops any
+repeat among that parent's children, so no table spans a whole level; the
+level is sorted by canonical code once it is complete.
 
 Bipartite graphs are closed under vertex deletion, so the bipartite classes
 are generated by the same augmentation restricted to bipartite parents and
@@ -26,18 +34,20 @@ from typing import Iterator
 from .errors import OrderTooLarge, ParamOutOfRange
 from .graphs import (
     Graph,
+    _equitable_colors,
     add_vertex,
     canonical_code,
     canonical_form,
     connected_components,
-    delete_last_vertex,
+    degrees,
     is_bipartite,
     is_connected,
 )
 
-#: Practical ceilings: the all-graphs tree explodes past order 10; the
-#: bipartite tree stays workable a little longer.
-ALL_CEILING = 10
+#: Practical ceilings: every level is held in memory, and order 10 of the
+#: all-graphs tree has 12 005 168 classes; the bipartite tree stays workable
+#: a little longer.
+ALL_CEILING = 9
 BIPARTITE_CEILING = 12
 
 
@@ -133,25 +143,48 @@ def _bipartite_masks(g: Graph) -> list[int]:
     return out
 
 
+def _orbit(point: int, generators) -> set[int]:
+    """Orbit of one vertex under the group the generators generate."""
+    orbit = {point}
+    stack = [point]
+    while stack:
+        v = stack.pop()
+        for sigma in generators:
+            w = sigma[v]
+            if w not in orbit:
+                orbit.add(w)
+                stack.append(w)
+    return orbit
+
+
 def _extend(parents: list[_LevelEntry], bipartite_only: bool) -> list[_LevelEntry]:
-    accepted: dict[bytes, _LevelEntry] = {}
-    deletion_code: dict[bytes, bytes] = {}
+    level: list[_LevelEntry] = []
     for entry in parents:
         g = entry.graph
+        n = g.n + 1
+        deg = degrees(g)
+        top = max(deg)
+        at_top = sum(1 << v for v, d in enumerate(deg) if d == top)
         bip = _bipartite_masks(g) if bipartite_only else None
+        children: dict[bytes, _LevelEntry] = {}
         for mask in _mask_orbit_reps(g.n, entry.generators, bip):
-            child = add_vertex(g, mask)
-            cf = canonical_form(child, ceiling=child.n)
-            key = cf.code.code
-            if key in accepted:
+            # degree pre-test: the child's largest old degree is top, plus one
+            # if the new vertex is adjacent to a vertex of degree top
+            if mask.bit_count() < top + bool(mask & at_top):
                 continue
-            dc = deletion_code.get(key)
-            if dc is None:
-                dc = canonical_code(delete_last_vertex(cf.graph), ceiling=g.n).code
-                deletion_code[key] = dc
-            if dc == entry.code:
-                accepted[key] = _LevelEntry(cf.graph, key, cf.generators)
-    return [accepted[key] for key in sorted(accepted)]
+            child = add_vertex(g, mask)
+            colors = _equitable_colors(n, child.adj)
+            if colors[-1] != max(colors):
+                continue
+            cf = canonical_form(child, ceiling=n)
+            if cf.labelling[-1] not in _orbit(n - 1, cf.generators):
+                continue
+            key = cf.code.code
+            if key not in children:
+                children[key] = _LevelEntry(cf.graph, key, cf.generators)
+        level.extend(children.values())
+    level.sort(key=lambda e: e.code)
+    return level
 
 
 class EnumerationCache:
@@ -171,6 +204,14 @@ class EnumerationCache:
         return levels[n - 1]
 
 
+def check_ceiling(n: int, graph_class: GraphClass) -> None:
+    """Raise OrderTooLarge if order n is past the class's enumeration ceiling."""
+    if n > graph_class.ceiling:
+        raise OrderTooLarge(
+            f"enumeration of class {graph_class.value!r} capped at order {graph_class.ceiling}, got {n}"
+        )
+
+
 def enumerate_graphs(
     n: int, graph_class: GraphClass = GraphClass.ALL, cache: EnumerationCache | None = None
 ) -> Iterator[Graph]:
@@ -180,10 +221,7 @@ def enumerate_graphs(
     """
     if n < 1:
         raise ParamOutOfRange(f"enumeration needs n >= 1, got {n}")
-    if n > graph_class.ceiling:
-        raise OrderTooLarge(
-            f"enumeration of class {graph_class.value!r} capped at order {graph_class.ceiling}, got {n}"
-        )
+    check_ceiling(n, graph_class)
     if cache is None:
         cache = EnumerationCache()
     base = "bipartite" if graph_class.bipartite_only else "all"

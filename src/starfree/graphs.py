@@ -50,16 +50,19 @@ class CanonicalCode:
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Canonical relabelling of a graph plus the automorphisms discovered.
+    """Canonical relabelling of a graph plus its automorphism generators.
 
-    ``generators`` are permutations (tuples mapping vertex -> image) of the
-    canonical graph; they generate a subgroup of its automorphism group and
-    are used by the enumerator to prune equivalent vertex augmentations.
+    ``labelling`` maps each input vertex to its canonical position, so
+    ``relabel(g, labelling) == graph``.  ``generators`` are permutations
+    (tuples mapping vertex -> image) of the canonical graph that generate its
+    whole automorphism group; the enumerator uses them to prune equivalent
+    vertex augmentations and to decide which augmentation to accept.
     """
 
     graph: Graph
     code: CanonicalCode
     generators: tuple[tuple[int, ...], ...]
+    labelling: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +142,6 @@ def add_vertex(g: Graph, neighbour_mask: int) -> Graph:
     adj = [g.adj[v] | bit if neighbour_mask >> v & 1 else g.adj[v] for v in range(g.n)]
     adj.append(neighbour_mask)
     return Graph(g.n + 1, tuple(adj))
-
-
-def delete_last_vertex(g: Graph) -> Graph:
-    if g.n == 0:
-        raise BadEdge("cannot delete from the order-0 graph")
-    keep = (1 << (g.n - 1)) - 1
-    return Graph(g.n - 1, tuple(g.adj[v] & keep for v in range(g.n - 1)))
 
 
 def relabel(g: Graph, perm: tuple[int, ...]) -> Graph:
@@ -355,7 +351,9 @@ def _min_code_search(n: int, adj: tuple[int, ...]):
     int lists compares bit strings.  Pruning: (a) branch-and-bound against
     the best code found so far, (b) one candidate per orbit of the known
     automorphisms — twin swaps seeded up front plus whatever the search
-    discovers when two orderings produce the same code.
+    discovers when two orderings produce the same code.  Neither prune can
+    skip a minimal-code ordering that no known automorphism reaches from an
+    explored one, so the generators returned generate the whole group.
     Returns (cols, perm, generators).
     """
     deg = [adj[v].bit_count() for v in range(n)]
@@ -466,13 +464,14 @@ def canonical_form(g: Graph, ceiling: int = CANONICAL_CEILING) -> CanonicalForm:
     inv = [0] * g.n
     for pos, v in enumerate(perm):
         inv[v] = pos
-    canon = relabel(g, tuple(inv))
+    labelling = tuple(inv)
+    canon = relabel(g, labelling)
     # conjugate the generators into the canonical labelling
     canon_gens = tuple(
         tuple(inv[sigma[perm[i]]] for i in range(g.n)) for sigma in gens
     )
     code = CanonicalCode(g.n, _pack_cols(g.n, cols))
-    return CanonicalForm(canon, code, canon_gens)
+    return CanonicalForm(canon, code, canon_gens, labelling)
 
 
 def canonical_code(g: Graph, ceiling: int = CANONICAL_CEILING) -> CanonicalCode:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .enumeration import EnumerationCache, GraphClass, enumerate_graphs
+from .enumeration import EnumerationCache, GraphClass, check_ceiling, enumerate_graphs
 from .errors import DivisionByZeroK2, EmptyClass, NoRegularGraph, ParamOutOfRange, ParseError
 from .families import (
     make_clique_join_regular,
@@ -239,6 +239,7 @@ def verify_join_regular_bound(max_n: int, max_k: int, max_d: int) -> SuiteResult
 def verify_bipartite_spectra(max_n: int, cache: EnumerationCache | None = None) -> SuiteResult:
     """Over every bipartite graph of order <= max_n: the spectrum is symmetric
     about 0, and a triangle-free graph has radius at most n/2 (both to 1e-9)."""
+    check_ceiling(max_n, GraphClass.BIPARTITE)
     if cache is None:
         cache = EnumerationCache()
     failures = []

@@ -14,6 +14,13 @@ def cache() -> EnumerationCache:
     return EnumerationCache()
 
 
+class Unbuildable(EnumerationCache):
+    """A cache that fails the test if any level is asked for."""
+
+    def level(self, base, n):
+        raise AssertionError(f"level {base} {n} built")
+
+
 def path_graph(n: int) -> Graph:
     return from_edges(n, [(i, i + 1) for i in range(n - 1)])
 

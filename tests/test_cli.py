@@ -124,6 +124,12 @@ class TestSearchAndSuites:
         code, out, _ = run(capsys, "--json", "verify", "bipartite", "--max-n", "6")
         assert (code, out) == (0, '{"checked": 61, "failures": [], "suite": "bipartite"}\n')
 
+    def test_orders_past_the_ceilings_exit_one(self, capsys):
+        for argv in (("search", "10", "2,2", "all"), ("verify", "bipartite", "--max-n", "13")):
+            code, out, err = run(capsys, "--json", *argv)
+            assert (code, out) == (1, "")
+            assert "OrderTooLarge" in err
+
     def test_violations_exit_three(self, capsys, monkeypatch):
         from starfree.search import EdgeBoundViolation
 

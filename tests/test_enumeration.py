@@ -1,7 +1,9 @@
 import pytest
 
-from conftest import all_labeled_graphs
+from conftest import Unbuildable, all_labeled_graphs
 from starfree.enumeration import (
+    ALL_CEILING,
+    BIPARTITE_CEILING,
     EnumerationCache,
     GraphClass,
     enumerate_graphs,
@@ -35,17 +37,39 @@ def census_counts(n: int) -> dict:
     return out
 
 
+#: OEIS class counts by order, starting at n = 1: A000088, A001349,
+#: A033995 and A005142.
+OEIS = {
+    GraphClass.ALL: (1, 2, 4, 11, 34, 156, 1044, 12346, 274668),
+    GraphClass.CONNECTED: (1, 1, 2, 6, 21, 112, 853, 11117, 261080),
+    GraphClass.BIPARTITE: (1, 2, 3, 7, 13, 35, 88, 303, 1119, 5479, 32303),
+    GraphClass.CONNECTED_BIPARTITE: (1, 1, 1, 3, 5, 17, 44, 182, 730, 4032, 25598),
+}
+
+
+def count(n: int, cls: GraphClass, cache: EnumerationCache) -> int:
+    return sum(1 for _ in enumerate_graphs(n, cls, cache))
+
+
 class TestCounts:
     def test_matches_labeled_dedup_oracle(self, cache):
         # n <= 5 here; the n = 6 oracle agreement is an acceptance criterion
         for n in range(1, 6):
             want = census_counts(n)
             for cls in GraphClass:
-                assert sum(1 for _ in enumerate_graphs(n, cls, cache)) == want[cls], (n, cls)
+                assert count(n, cls, cache) == want[cls], (n, cls)
 
     def test_known_values(self, cache):
-        for n, cls, want in ((4, "all", 11), (5, "connected", 21), (6, "all", 156)):
-            assert sum(1 for _ in enumerate_graphs(n, GraphClass(cls), cache)) == want
+        # the orders past these run in the slow tier
+        for cls in GraphClass:
+            top = 10 if cls.bipartite_only else 8
+            assert [count(n, cls, cache) for n in range(1, top + 1)] == list(OEIS[cls][:top])
+
+    @pytest.mark.slow
+    def test_oeis_counts_past_tier_one(self, cache):
+        for cls, n in ((GraphClass.ALL, 9), (GraphClass.CONNECTED, 9),
+                       (GraphClass.BIPARTITE, 11), (GraphClass.CONNECTED_BIPARTITE, 11)):
+            assert count(n, cls, cache) == OEIS[cls][n - 1], (cls, n)
 
     def test_stream_codes_unique_and_canonical(self, cache):
         for cls in GraphClass:
@@ -73,10 +97,10 @@ class TestLimits:
             list(enumerate_graphs(0, GraphClass.ALL))
 
     def test_ceilings(self):
-        with pytest.raises(OrderTooLarge):
-            list(enumerate_graphs(11, GraphClass.ALL))
-        with pytest.raises(OrderTooLarge):
-            list(enumerate_graphs(13, GraphClass.BIPARTITE))
+        assert (ALL_CEILING, BIPARTITE_CEILING) == (9, 12)
+        for cls in GraphClass:
+            with pytest.raises(OrderTooLarge):
+                list(enumerate_graphs(cls.ceiling + 1, cls, Unbuildable()))
 
     def test_parse_graph_class(self):
         assert parse_graph_class("connected_bipartite") is GraphClass.CONNECTED_BIPARTITE

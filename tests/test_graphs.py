@@ -1,11 +1,14 @@
+import itertools
 import random
 
 import pytest
 
 from conftest import all_labeled_graphs, brute_min_cols, cycle_graph, path_graph, star_graph
+from starfree.enumeration import GraphClass, enumerate_graphs
 from starfree.errors import BadEdge, OrderTooLarge, ParseError
 from starfree.graphs import (
     CanonicalCode,
+    _equitable_colors,
     canonical_code,
     canonical_form,
     check_invariants,
@@ -198,6 +201,61 @@ class TestCanonical:
         h = canonical_form(g).graph
         assert degrees(h) == degrees(g)
         assert canonical_code(h) == canonical_code(g)
+
+
+def orbits(n: int, group) -> set[frozenset[int]]:
+    return {frozenset(p[v] for p in group) for v in range(n)}
+
+
+def group_closure(n: int, generators) -> set[tuple[int, ...]]:
+    """Every element of the permutation group the generators generate."""
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        pi = frontier.pop()
+        for sigma in generators:
+            composed = tuple(sigma[pi[v]] for v in range(n))
+            if composed not in group:
+                group.add(composed)
+                frontier.append(composed)
+    return group
+
+
+class TestGeneratorCompleteness:
+    """Canonical augmentation is sound only if the generators reported by
+    canonical_form generate the whole automorphism group."""
+
+    def test_generators_generate_brute_force_automorphisms(self, cache):
+        rng = random.Random(5)
+        for n in range(1, 7):
+            for g in enumerate_graphs(n, GraphClass.ALL, cache):
+                auts = {p for p in itertools.permutations(range(n)) if relabel(g, p) == g}
+                perm = list(range(n))
+                rng.shuffle(perm)
+                for h in (g, relabel(g, tuple(perm))):
+                    cf = canonical_form(h)
+                    assert relabel(h, cf.labelling) == cf.graph == g
+                    group = group_closure(n, cf.generators)
+                    assert orbits(n, group) == orbits(n, auts)
+                    assert group == auts
+
+    def test_last_canonical_vertex_passes_the_pre_tests(self, cache):
+        # the enumerator rejects children whose new vertex lacks maximum
+        # degree or the highest equitable colour; the canonically last vertex
+        # must always have both
+        rng = random.Random(9)
+        graphs = [g for n in range(1, 7) for g in enumerate_graphs(n, GraphClass.ALL, cache)]
+        for _ in range(200):
+            n = rng.randint(2, 11)
+            graphs.append(from_edges(
+                n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+            ))
+        for g in graphs:
+            last = canonical_form(g).labelling.index(g.n - 1)
+            colors = _equitable_colors(g.n, g.adj)
+            assert colors[last] == max(colors)
+            assert degrees(g)[last] == max_degree(g)
 
 
 class TestGraph6:

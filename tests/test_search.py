@@ -2,8 +2,9 @@ import math
 
 import pytest
 
+from conftest import Unbuildable
 from starfree.enumeration import GraphClass
-from starfree.errors import EmptyClass, ParamOutOfRange, ParseError
+from starfree.errors import EmptyClass, OrderTooLarge, ParamOutOfRange, ParseError
 from starfree.families import (
     make_clique_join_matching,
     make_complete_bipartite,
@@ -17,6 +18,7 @@ from starfree.search import (
     extremal_search,
     merge_search_records,
     read_records,
+    verify_bipartite_spectra,
     verify_edge_bound,
     write_records,
 )
@@ -170,3 +172,9 @@ class TestPersistence:
         with pytest.raises(ParseError) as exc:
             read_records(path)
         assert exc.value.line == 2
+
+
+class TestBipartiteSuite:
+    def test_order_past_ceiling_rejected_before_enumerating(self):
+        with pytest.raises(OrderTooLarge):
+            verify_bipartite_spectra(GraphClass.BIPARTITE.ceiling + 1, Unbuildable())
