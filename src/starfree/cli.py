@@ -51,7 +51,6 @@ from .search import (
 )
 from .spectra import (
     adjacency_spectrum,
-    check_perron_floor,
     least_eigenvalue,
     perron_vector,
     signless_laplacian_radius,
@@ -263,7 +262,7 @@ def _cmd_conjecture(args) -> int:
 def _cmd_perron(args) -> int:
     g = _load_graph(args.graph)
     data = perron_vector(g)
-    ok, margin = check_perron_floor(g)
+    ok, margin = data.floor_check()
     payload = {
         "rho": data.rho,
         "vector": list(data.vector),

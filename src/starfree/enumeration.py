@@ -11,7 +11,7 @@ partition, and a higher colour id never means a lower degree: the new
 vertex must have maximum degree in the child (integer work on the parent's
 degrees, no new graph), and it must lie in the highest colour cell of the
 child's equitable partition.  Only the children that pass both get a full
-canonical search.
+canonical search, which starts from that partition instead of refining again.
 
 Attachment masks are first reduced to one representative per orbit of the
 parent's automorphism generators, which prunes most of the redundant work
@@ -176,7 +176,7 @@ def _extend(parents: list[_LevelEntry], bipartite_only: bool) -> list[_LevelEntr
             colors = _equitable_colors(n, child.adj)
             if colors[-1] != max(colors):
                 continue
-            cf = canonical_form(child, ceiling=n)
+            cf = canonical_form(child, ceiling=n, colors=colors)
             if cf.labelling[-1] not in _orbit(n - 1, cf.generators):
                 continue
             key = cf.code.code

@@ -341,7 +341,7 @@ def _equitable_colors(n: int, adj: tuple[int, ...]) -> list[int]:
         ncolors = len(table)
 
 
-def _min_code_search(n: int, adj: tuple[int, ...]):
+def _min_code_search(n: int, adj: tuple[int, ...], colors: list[int] | None = None):
     """Minimal column-major upper-triangle bit string over the orderings the
     canonical labelling allows: vertices are placed cell by cell of the
     equitable (colour-refinement) partition, cells in invariant colour order.
@@ -354,12 +354,14 @@ def _min_code_search(n: int, adj: tuple[int, ...]):
     discovers when two orderings produce the same code.  Neither prune can
     skip a minimal-code ordering that no known automorphism reaches from an
     explored one, so the generators returned generate the whole group.
-    Returns (cols, perm, generators).
+    ``colors`` may pass in ``_equitable_colors(n, adj)`` when the caller
+    already has it.  Returns (cols, perm, generators).
     """
     deg = [adj[v].bit_count() for v in range(n)]
     if n <= 1:
         return [0] * n, list(range(n)), []
-    colors = _equitable_colors(n, adj)
+    if colors is None:
+        colors = _equitable_colors(n, adj)
     # positions are filled cell by cell in increasing colour id
     position_color = sorted(colors)
 
@@ -456,11 +458,17 @@ def _pack_cols(n: int, cols: list[int]) -> bytes:
     return bytes(out)
 
 
-def canonical_form(g: Graph, ceiling: int = CANONICAL_CEILING) -> CanonicalForm:
-    """Canonical relabelling, code, and discovered automorphism generators."""
+def canonical_form(
+    g: Graph, ceiling: int = CANONICAL_CEILING, colors: list[int] | None = None
+) -> CanonicalForm:
+    """Canonical relabelling, code, and discovered automorphism generators.
+
+    ``colors``, if given, must be ``_equitable_colors(g.n, g.adj)``; it saves
+    the search from refining again.
+    """
     if g.n > ceiling:
         raise OrderTooLarge(f"canonical labelling capped at order {ceiling}, got {g.n}")
-    cols, perm, gens = _min_code_search(g.n, g.adj)
+    cols, perm, gens = _min_code_search(g.n, g.adj, colors)
     inv = [0] * g.n
     for pos, v in enumerate(perm):
         inv[v] = pos

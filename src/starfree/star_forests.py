@@ -6,6 +6,18 @@ subgraph is decided exactly: candidate center subsets are enumerated, roles
 are matched to centers by degrees, and the leaf assignment is settled by a
 maximum-flow feasibility check (unit leaf capacities make disjointness exact).
 A brute-force oracle with the same semantics backs the fast path in tests.
+
+Before the search, high-degree vertices are peeled.  Lemma: let F have
+order |F| and largest star S_{d1}.  If a vertex v has at least |F| - 1
+neighbours, then G contains F iff G - v contains F - S_{d1}.
+  (<=) an embedding of F - S_{d1} uses |F| - d1 - 1 vertices, so v keeps d1
+       free neighbours and becomes the center of S_{d1}.
+  (=>) if v is unused, or is a center or a leaf of some star S_{dj}, drop
+       that star; what remains contains F - S_{d1}, because d1 >= dj.
+The peel repeats on the live vertices until no vertex qualifies (or every
+star is placed).  On the extremal families, K_{k-1} joined to a sparse
+graph, it peels the k-1 dominating vertices, after which the last star's
+degree exceeds every live degree and the search has no candidate center.
 """
 
 from __future__ import annotations
@@ -147,14 +159,32 @@ def contains_star_forest(g: Graph, forest: StarForest) -> bool:
     """True iff g contains vertex-disjoint stars with the forest's leaf counts.
 
     Centers cannot serve as leaves of other stars (the stars are vertex
-    disjoint); an edge between two chosen centers is simply unused.
+    disjoint); an edge between two chosen centers is simply unused.  Vertices
+    with at least |F| - 1 live neighbours are peeled first, each taking the
+    largest remaining star (see the module docstring); the center-subset
+    search then runs on the live vertices with the stars that are left.
     """
     k = forest.k
     if k > MAX_STARS:
         raise ParamOutOfRange(f"containment supports at most {MAX_STARS} stars, got {k}")
-    d = forest.degrees
     if g.n < forest.order:
         return False
+    live = (1 << g.n) - 1
+    d = forest.degrees
+    while d:
+        need = sum(d) + len(d) - 1
+        hub = next((v for v in range(g.n)
+                    if live >> v & 1 and (g.adj[v] & live).bit_count() >= need), None)
+        if hub is None:
+            break
+        live &= ~(1 << hub)
+        d = d[1:]
+    if not d:
+        return True
+    if len(d) < k:
+        # peeled vertices keep their index but lose every edge
+        g = Graph(g.n, tuple(row & live if live >> v & 1 else 0 for v, row in enumerate(g.adj)))
+        k = len(d)
     deg = degrees(g)
     cands = [v for v in range(g.n) if deg[v] >= d[-1]]
     if len(cands) < k:

@@ -21,6 +21,24 @@ class Unbuildable(EnumerationCache):
         raise AssertionError(f"level {base} {n} built")
 
 
+def count_calls(monkeypatch, name: str, *modules) -> list:
+    """Replace ``name`` in each module by one wrapper that logs its calls.
+
+    The real function is taken from the first module; pass every module
+    that imported the name, so that no caller escapes the count.
+    """
+    calls = []
+    real = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def path_graph(n: int) -> Graph:
     return from_edges(n, [(i, i + 1) for i in range(n - 1)])
 

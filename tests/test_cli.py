@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from starfree import cli
+from conftest import count_calls
+from starfree import cli, spectra
 from starfree.families import make_complete_bipartite
 from starfree.graphs import graph6_decode, graph6_encode
 
@@ -153,6 +154,12 @@ class TestSearchAndSuites:
         payload = json.loads(out)
         assert payload["floor_ok"] is True
         assert payload["rho"] == pytest.approx(math.sqrt(18), abs=1e-9)
+
+    def test_perron_computes_the_vector_once(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, "perron_vector", spectra, cli)
+        code, out, _ = run(capsys, "--json", "perron", graph6_encode(make_complete_bipartite(2, 9)))
+        assert code == 0 and json.loads(out)["floor_ok"] is True
+        assert len(calls) == 1
 
 
 class TestDeterminism:

@@ -2,9 +2,10 @@ import decimal
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conftest import cycle_graph
+from conftest import count_calls, cycle_graph
 from starfree.errors import (
     DivisionByZeroK2,
     NegativeDiscriminant,
@@ -36,8 +37,20 @@ from starfree.graphs import (
     is_connected,
     max_degree,
 )
-from starfree.spectra import least_eigenvalue, signless_laplacian_radius, spectral_radius
-from starfree.star_forests import StarForest
+from starfree import spectra, star_forests
+from starfree.spectra import (
+    adjacency_matrix,
+    least_eigenvalue,
+    perron_vector,
+    signless_laplacian_radius,
+    spectral_radius,
+)
+from starfree.star_forests import (
+    StarForest,
+    avoids_star_forest,
+    contains_star_forest,
+    contains_star_forest_oracle,
+)
 
 TOL = 1e-9
 
@@ -114,6 +127,52 @@ class TestConstructions:
                 rho = spectral_radius(pruned)
                 assert rho <= bound + 1e-9
                 assert rho < bound - 1e-6
+
+
+def _inner_edges(g, k):
+    return [e for e in edges(g) if min(e) >= k - 1]
+
+
+class TestFastPathsOnFamilies:
+    """The containment peel and the certified Perron vector settle every
+    extremal family member without a flow call or a Jacobi fallback."""
+
+    K = 4
+
+    @staticmethod
+    def _members(k):
+        # (name, graph, d) at order 40; the 1-regular join needs an even
+        # outside part, so it moves to order 41
+        jr2, jr3 = make_clique_join_regular(41, k, 2), make_clique_join_regular(40, k, 3)
+        yield "jr2", jr2, 2
+        yield "jr3", jr3, 3
+        for name, g, d in (("jr2-e", jr2, 2), ("jr3-e", jr3, 3)):
+            dropped = _inner_edges(g, k)[5]
+            yield name, from_edges(g.n, [e for e in edges(g) if e != dropped]), d
+        yield "kb", make_complete_bipartite(k - 1, 40 - k + 1), 1
+        yield "jm", make_clique_join_matching(40, k), 2
+        yield "sp", make_complete_split(40, k - 1), 1
+
+    def test_members_avoid_without_flow_or_jacobi(self, monkeypatch):
+        flows = count_calls(monkeypatch, "_leaf_assignment_exists", star_forests)
+        jacobi = count_calls(monkeypatch, "jacobi_eigensystem", spectra)
+        for name, g, d in self._members(self.K):
+            assert avoids_star_forest(g, StarForest((d,) * self.K)), name
+            rho = np.linalg.eigvalsh(adjacency_matrix(g))[-1]
+            assert perron_vector(g).rho == pytest.approx(rho, abs=TOL), name
+        assert flows == [] and jacobi == []
+
+    def test_one_more_inner_edge_contains(self):
+        for n, k, d in ((41, self.K, 2), (40, self.K, 3), (10, 3, 2), (10, 2, 3)):
+            g = make_clique_join_regular(n, k, d)
+            inner = set(_inner_edges(g, k))
+            extra = next((u, v) for u in range(k - 1, n) for v in range(u + 1, n)
+                         if (u, v) not in inner)
+            plus = from_edges(n, edges(g) + [extra])
+            forest = StarForest((d,) * k)
+            assert contains_star_forest(plus, forest), (n, k, d)
+            if n <= 10:
+                assert contains_star_forest_oracle(plus, forest), (n, k, d)
 
 
 class TestRadiusBounds:

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import cycle_graph, path_graph, star_graph
+from conftest import count_calls, cycle_graph, path_graph, star_graph
 from starfree.enumeration import GraphClass, enumerate_graphs
 from starfree.errors import Disconnected, EmptyGraph
 from starfree.families import make_clique_join_matching, radius_bound_general
@@ -187,6 +187,19 @@ class TestPerron:
     def test_disconnected_rejected(self):
         with pytest.raises(Disconnected):
             perron_vector(union(complete_graph(2), complete_graph(2)))
+
+    def test_jacobi_fallback_runs_once(self, monkeypatch):
+        import starfree.spectra as spectra_module
+
+        monkeypatch.setattr(spectra_module, "_power_largest", lambda m: None)
+        calls = count_calls(monkeypatch, "jacobi_eigensystem", spectra_module)
+        g = join(empty_graph(2), empty_graph(9))
+        data = perron_vector(g)
+        assert len(calls) == 1
+        vals, vecs = np.linalg.eigh(adjacency_matrix(g))
+        want = np.abs(vecs[:, -1]) / np.abs(vecs[:, -1]).max()
+        assert data.rho == pytest.approx(vals[-1], abs=TOL)
+        assert np.max(np.abs(np.array(data.vector) - want)) < TOL
 
 
 class TestPerronFloor:

@@ -98,17 +98,27 @@ class TestContainment:
                 assert contains_star_forest(g, f) == contains_star_forest_oracle(g, f)
 
     def test_matches_oracle_random(self):
+        # 0-2 planted vertices adjacent to all others, under a random
+        # relabelling, so that the high-degree peel fires on many inputs
         rng = random.Random(17)
         forests = [StarForest(t) for t in star_forests_up_to(10, 3)]
-        compared = 0
-        while compared < 1000:
-            n = rng.randint(8, 10)
-            es = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.45]
+        compared = peelable = 0
+        while compared < 12000:
+            n = rng.randint(6, 10)
+            p = rng.uniform(0.3, 0.85)
+            hubs = rng.randint(0, 2)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            es = [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)
+                  if i < hubs or rng.random() < p]
             g = from_edges(n, es)
+            top = max(row.bit_count() for row in g.adj)
             for f in forests:
                 if f.order <= n:
                     compared += 1
-                    assert contains_star_forest(g, f) == contains_star_forest_oracle(g, f)
+                    peelable += top >= f.order - 1
+                    assert contains_star_forest(g, f) == contains_star_forest_oracle(g, f), (g, f)
+        assert peelable > compared // 4
 
     def test_edge_monotone(self):
         rng = random.Random(23)
