@@ -101,7 +101,7 @@ def _cmd_construct(args) -> int:
     kind = args.family
     arity = 3 if kind == "joinreg" else 2
     if len(args.params) != arity:
-        raise StarfreeError(f"construct {kind} needs exactly {arity} parameters")
+        args.parser.error(f"construct {kind} needs exactly {arity} parameters")
     builders = {
         "f": make_clique_join_matching,
         "s": make_complete_split,
@@ -160,11 +160,11 @@ def _cmd_bound(args) -> int:
     name = args.family
     if name in ("t17", "conj32"):
         if len(args.params) != 3:
-            raise StarfreeError(f"bound {name} needs n k d_k")
+            args.parser.error(f"bound {name} needs n k d_k")
         rep = evaluate_bound(name, args.params[0], args.params[1], args.params[2])
     else:
         if len(args.params) != 2:
-            raise StarfreeError(f"bound {name} needs n k")
+            args.parser.error(f"bound {name} needs n k")
         rep = evaluate_bound(name, args.params[0], args.params[1])
     lines = [f"{rep.name} {rep.params} = {_sig(rep.value)}"]
     if rep.attained_by:
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="emit an extremal construction as graph6")
     p.add_argument("family", choices=["f", "s", "splus", "kb", "joinreg"])
     p.add_argument("params", type=int, nargs="+")
-    p.set_defaults(fn=_cmd_construct)
+    p.set_defaults(fn=_cmd_construct, parser=p)
 
     for name, fn, help_text in [
         ("rho", _cmd_rho, "spectral radius of a graph"),
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="evaluate a closed-form bound family")
     p.add_argument("family", choices=list(BOUND_NAMES))
     p.add_argument("params", type=int, nargs="+", help="t17/conj32: n k d_k; t18/c19: n k")
-    p.set_defaults(fn=_cmd_bound)
+    p.set_defaults(fn=_cmd_bound, parser=p)
 
     p = sub.add_parser("threshold", help="exact rational order threshold")
     p.add_argument("kind", choices=list(THRESHOLD_KINDS))

@@ -17,7 +17,7 @@ Attachment masks are first reduced to one representative per orbit of the
 parent's automorphism generators, which prunes most of the redundant work
 on symmetric parents.  A code table that lives for one parent drops any
 repeat among that parent's children, so no table spans a whole level; the
-level is sorted by canonical code once it is complete.
+level is sorted by canonical graph6 code once it is complete.
 
 Bipartite graphs are closed under vertex deletion, so the bipartite classes
 are generated by the same augmentation restricted to bipartite parents and
@@ -35,8 +35,8 @@ from .errors import OrderTooLarge, ParamOutOfRange
 from .graphs import (
     Graph,
     _equitable_colors,
+    _orbit_ids,
     add_vertex,
-    canonical_code,
     canonical_form,
     connected_components,
     degrees,
@@ -82,7 +82,7 @@ def parse_graph_class(text: str) -> GraphClass:
 @dataclass(frozen=True)
 class _LevelEntry:
     graph: Graph  # canonical representative
-    code: bytes
+    code: str  # its graph6
     generators: tuple[tuple[int, ...], ...]
 
 
@@ -143,20 +143,6 @@ def _bipartite_masks(g: Graph) -> list[int]:
     return out
 
 
-def _orbit(point: int, generators) -> set[int]:
-    """Orbit of one vertex under the group the generators generate."""
-    orbit = {point}
-    stack = [point]
-    while stack:
-        v = stack.pop()
-        for sigma in generators:
-            w = sigma[v]
-            if w not in orbit:
-                orbit.add(w)
-                stack.append(w)
-    return orbit
-
-
 def _extend(parents: list[_LevelEntry], bipartite_only: bool) -> list[_LevelEntry]:
     level: list[_LevelEntry] = []
     for entry in parents:
@@ -166,7 +152,7 @@ def _extend(parents: list[_LevelEntry], bipartite_only: bool) -> list[_LevelEntr
         top = max(deg)
         at_top = sum(1 << v for v, d in enumerate(deg) if d == top)
         bip = _bipartite_masks(g) if bipartite_only else None
-        children: dict[bytes, _LevelEntry] = {}
+        children: dict[str, _LevelEntry] = {}
         for mask in _mask_orbit_reps(g.n, entry.generators, bip):
             # degree pre-test: the child's largest old degree is top, plus one
             # if the new vertex is adjacent to a vertex of degree top
@@ -176,12 +162,12 @@ def _extend(parents: list[_LevelEntry], bipartite_only: bool) -> list[_LevelEntr
             colors = _equitable_colors(n, child.adj)
             if colors[-1] != max(colors):
                 continue
-            cf = canonical_form(child, ceiling=n, colors=colors)
-            if cf.labelling[-1] not in _orbit(n - 1, cf.generators):
+            cf = canonical_form(child, colors=colors)
+            orbit = _orbit_ids(n, cf.generators)
+            if orbit[cf.labelling[-1]] != orbit[n - 1]:
                 continue
-            key = cf.code.code
-            if key not in children:
-                children[key] = _LevelEntry(cf.graph, key, cf.generators)
+            if cf.code not in children:
+                children[cf.code] = _LevelEntry(cf.graph, cf.code, cf.generators)
         level.extend(children.values())
     level.sort(key=lambda e: e.code)
     return level
@@ -191,7 +177,8 @@ class EnumerationCache:
     """Reusable level store so repeated scans share the augmentation work."""
 
     def __init__(self):
-        base = _LevelEntry(Graph(1, (0,)), canonical_code(Graph(1, (0,))).code, ())
+        cf = canonical_form(Graph(1, (0,)))
+        base = _LevelEntry(cf.graph, cf.code, cf.generators)
         self._levels: dict[str, list[list[_LevelEntry]]] = {
             "all": [[base]],
             "bipartite": [[base]],
@@ -217,7 +204,7 @@ def enumerate_graphs(
 ) -> Iterator[Graph]:
     """Yield one canonical representative per isomorphism class of order n.
 
-    Output is sorted by canonical code, so runs are reproducible.
+    Output is sorted by canonical graph6 code, so runs are reproducible.
     """
     if n < 1:
         raise ParamOutOfRange(f"enumeration needs n >= 1, got {n}")

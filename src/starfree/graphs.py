@@ -4,10 +4,13 @@ A graph is stored as one 64-bit neighbour mask per vertex, which makes
 neighbourhood intersection, degree counting and subset tests single integer
 operations.  All values are immutable; every operation returns a new Graph.
 
-Also provides isomorphism-complete canonical codes (minimal upper-triangle
+Also provides the graph6 text codec used for all graph I/O, and canonical
+labelling: the canonical graph minimises the column-major upper-triangle
 bit string over the vertex orderings compatible with the equitable degree
-refinement, found by backtracking with automorphism-orbit pruning) and the
-graph6 text codec used for all graph I/O.
+refinement (found by backtracking with automorphism-orbit pruning).  graph6
+packs exactly that bit string, so the canonical graph's graph6 string is the
+isomorphism code: two graphs have equal codes iff they are isomorphic, and
+at a fixed order sorting codes sorts the bit strings.
 """
 
 from __future__ import annotations
@@ -15,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .errors import BadEdge, OrderTooLarge, ParamOutOfRange, ParseError
+from .errors import BadEdge, OrderTooLarge, ParseError
 
 MAX_ORDER = 64
 
-#: Default ceiling for canonical labelling; beyond this the backtracking
-#: search is not guaranteed to be cheap and callers must opt in explicitly.
+#: Ceiling for canonical labelling; beyond this the backtracking search is
+#: not guaranteed to be cheap.
 CANONICAL_CEILING = 12
 
 
@@ -36,22 +39,10 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class CanonicalCode:
-    """Isomorphism-invariant identifier: order plus packed canonical bit string.
-
-    Two graphs have equal CanonicalCode iff they are isomorphic.  ``code``
-    packs the upper triangle of the canonical adjacency matrix column by
-    column (the graph6 bit order), most significant bit first.
-    """
-
-    n: int
-    code: bytes
-
-
-@dataclass(frozen=True)
 class CanonicalForm:
     """Canonical relabelling of a graph plus its automorphism generators.
 
+    ``code`` is the graph6 string of ``graph``, equal iff isomorphic.
     ``labelling`` maps each input vertex to its canonical position, so
     ``relabel(g, labelling) == graph``.  ``generators`` are permutations
     (tuples mapping vertex -> image) of the canonical graph that generate its
@@ -60,7 +51,7 @@ class CanonicalForm:
     """
 
     graph: Graph
-    code: CanonicalCode
+    code: str
     generators: tuple[tuple[int, ...], ...]
     labelling: tuple[int, ...]
 
@@ -120,18 +111,6 @@ def union(g: Graph, h: Graph) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def disjoint_copies(k: int, g: Graph) -> Graph:
-    """Union of k vertex-disjoint copies of g (k >= 1)."""
-    if k < 1:
-        raise ParamOutOfRange(f"need at least one copy, got k={k}")
-    if k * g.n > MAX_ORDER:
-        raise OrderTooLarge(f"{k} copies of an order-{g.n} graph exceed {MAX_ORDER}")
-    out = g
-    for _ in range(k - 1):
-        out = union(out, g)
-    return out
-
-
 def add_vertex(g: Graph, neighbour_mask: int) -> Graph:
     """Append vertex g.n adjacent to the vertices set in neighbour_mask."""
     if g.n + 1 > MAX_ORDER:
@@ -188,19 +167,7 @@ def edges(g: Graph) -> list[tuple[int, int]]:
 
 def is_connected(g: Graph) -> bool:
     """Connectivity; the order-0 and order-1 graphs count as connected."""
-    if g.n <= 1:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        while frontier:
-            v = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            nxt |= g.adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << g.n) - 1
+    return len(connected_components(g)) <= 1
 
 
 def connected_components(g: Graph) -> list[int]:
@@ -285,24 +252,18 @@ def check_invariants(g: Graph) -> None:
 
 
 def _twin_generators(n: int, adj: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Transpositions of twin vertices (equal neighbourhoods, with or without
-    the mutual edge) — automorphisms known before any search."""
-    parent = list(range(n))
+    """Transpositions of twin vertices — automorphisms known before any search.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u in range(n):
-        for v in range(u + 1, n):
-            au, av = adj[u], adj[v]
-            if au == av or (au >> v & 1 and au ^ (1 << v) == av ^ (1 << u)):
-                parent[find(u)] = find(v)
+    False twins share the open neighbourhood ``adj[v]``, true twins the
+    closed one ``adj[v] | 1 << v``; both are grouped in one table.  An open
+    key never equals a closed key (N(u) = N[v] would put u in N(u)), and no
+    vertex has a false twin u and a true twin w at once (w in N(v) = N(u)
+    would make u adjacent to v), so the groups are the twin classes.
+    """
     classes: dict[int, list[int]] = {}
     for v in range(n):
-        classes.setdefault(find(v), []).append(v)
+        classes.setdefault(adj[v], []).append(v)
+        classes.setdefault(adj[v] | 1 << v, []).append(v)
     gens = []
     ident = list(range(n))
     for members in classes.values():
@@ -341,10 +302,30 @@ def _equitable_colors(n: int, adj: tuple[int, ...]) -> list[int]:
         ncolors = len(table)
 
 
+def _orbit_ids(n: int, generators) -> list[int]:
+    """Each vertex's orbit under the group the generators generate, named by
+    the orbit's smallest vertex."""
+    orbit = [-1] * n
+    for v in range(n):
+        if orbit[v] >= 0:
+            continue
+        orbit[v] = v
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for sigma in generators:
+                w = sigma[u]
+                if orbit[w] < 0:
+                    orbit[w] = v
+                    stack.append(w)
+    return orbit
+
+
 def _min_code_search(n: int, adj: tuple[int, ...], colors: list[int] | None = None):
-    """Minimal column-major upper-triangle bit string over the orderings the
-    canonical labelling allows: vertices are placed cell by cell of the
-    equitable (colour-refinement) partition, cells in invariant colour order.
+    """An ordering with the minimal column-major upper-triangle bit string
+    over the orderings the canonical labelling allows: vertices are placed
+    cell by cell of the equitable (colour-refinement) partition, cells in
+    invariant colour order.
 
     cols[j] holds the j bits of column j (adjacency of the vertex at position
     j to positions 0..j-1, most significant bit = position 0), so comparing
@@ -355,11 +336,12 @@ def _min_code_search(n: int, adj: tuple[int, ...], colors: list[int] | None = No
     skip a minimal-code ordering that no known automorphism reaches from an
     explored one, so the generators returned generate the whole group.
     ``colors`` may pass in ``_equitable_colors(n, adj)`` when the caller
-    already has it.  Returns (cols, perm, generators).
+    already has it.  Returns (perm, generators): perm[i] is the vertex placed
+    at position i.
     """
     deg = [adj[v].bit_count() for v in range(n)]
     if n <= 1:
-        return [0] * n, list(range(n)), []
+        return list(range(n)), []
     if colors is None:
         colors = _equitable_colors(n, adj)
     # positions are filled cell by cell in increasing colour id
@@ -371,22 +353,6 @@ def _min_code_search(n: int, adj: tuple[int, ...], colors: list[int] | None = No
     best_perm: list[int] | None = None
     gens: list[tuple[int, ...]] = _twin_generators(n, adj)
     gen_set = set(gens)
-
-    def orbit_find(fixers):
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for g in fixers:
-            for v in range(n):
-                rv, rg = find(v), find(g[v])
-                if rv != rg:
-                    parent[rv] = rg
-        return find
 
     def dfs(depth: int, keys: dict[int, int]) -> None:
         nonlocal best_cols, best_perm
@@ -408,20 +374,16 @@ def _min_code_search(n: int, adj: tuple[int, ...], colors: list[int] | None = No
         cands = sorted((col, deg[v], v) for v, col in keys.items() if colors[v] == want)
 
         tried: list[int] = []
-        find = None
-        gens_seen = -1
+        orbit = None
+        gens_seen = 0
         tight = best_cols is not None and cols[:depth] == best_cols[:depth]
         for col, _, v in cands:
-            if gens:
-                if find is None or gens_seen != len(gens):
-                    fixers = [g for g in gens if all(g[p] == p for p in prefix)]
-                    find = orbit_find(fixers) if fixers else None
-                    gens_seen = len(gens)
-                if find is not None:
-                    rv = find(v)
-                    if any(find(u) == rv for u in tried):
-                        tried.append(v)
-                        continue
+            if gens_seen != len(gens):
+                gens_seen = len(gens)
+                orbit = _orbit_ids(n, [g for g in gens if all(g[p] == p for p in prefix)])
+            if orbit is not None and any(orbit[u] == orbit[v] for u in tried):
+                tried.append(v)
+                continue
             if tight:
                 bc = best_cols[depth]
                 if col > bc:
@@ -438,37 +400,20 @@ def _min_code_search(n: int, adj: tuple[int, ...], colors: list[int] | None = No
             tight = best_cols is not None and cols[:depth] == best_cols[:depth]
 
     dfs(0, {v: 0 for v in range(n)})
-    cols[0] = 0
-    return best_cols, best_perm, gens
+    return best_perm, gens
 
 
-def _pack_cols(n: int, cols: list[int]) -> bytes:
-    bits = []
-    for j in range(1, n):
-        col = cols[j]
-        for shift in range(j - 1, -1, -1):
-            bits.append(col >> shift & 1)
-    out = bytearray()
-    for i in range(0, len(bits), 8):
-        byte = 0
-        for b in bits[i : i + 8]:
-            byte = byte << 1 | b
-        byte <<= 8 - min(8, len(bits) - i)
-        out.append(byte)
-    return bytes(out)
-
-
-def canonical_form(
-    g: Graph, ceiling: int = CANONICAL_CEILING, colors: list[int] | None = None
-) -> CanonicalForm:
+def canonical_form(g: Graph, colors: list[int] | None = None) -> CanonicalForm:
     """Canonical relabelling, code, and discovered automorphism generators.
 
     ``colors``, if given, must be ``_equitable_colors(g.n, g.adj)``; it saves
     the search from refining again.
     """
-    if g.n > ceiling:
-        raise OrderTooLarge(f"canonical labelling capped at order {ceiling}, got {g.n}")
-    cols, perm, gens = _min_code_search(g.n, g.adj, colors)
+    if g.n > CANONICAL_CEILING:
+        raise OrderTooLarge(
+            f"canonical labelling capped at order {CANONICAL_CEILING}, got {g.n}"
+        )
+    perm, gens = _min_code_search(g.n, g.adj, colors)
     inv = [0] * g.n
     for pos, v in enumerate(perm):
         inv[v] = pos
@@ -478,15 +423,7 @@ def canonical_form(
     canon_gens = tuple(
         tuple(inv[sigma[perm[i]]] for i in range(g.n)) for sigma in gens
     )
-    code = CanonicalCode(g.n, _pack_cols(g.n, cols))
-    return CanonicalForm(canon, code, canon_gens, labelling)
-
-
-def canonical_code(g: Graph, ceiling: int = CANONICAL_CEILING) -> CanonicalCode:
-    if g.n > ceiling:
-        raise OrderTooLarge(f"canonical labelling capped at order {ceiling}, got {g.n}")
-    cols, _, _ = _min_code_search(g.n, g.adj)
-    return CanonicalCode(g.n, _pack_cols(g.n, cols))
+    return CanonicalForm(canon, graph6_encode(canon), canon_gens, labelling)
 
 
 # ---------------------------------------------------------------------------
@@ -495,18 +432,21 @@ def canonical_code(g: Graph, ceiling: int = CANONICAL_CEILING) -> CanonicalCode:
 
 
 def _triangle_bits(g: Graph) -> Iterator[int]:
+    """The column-major upper triangle, in graph6 bit order."""
     for j in range(1, g.n):
         for i in range(j):
             yield g.adj[i] >> j & 1
 
 
+def _graph6_head(n: int) -> str:
+    if n <= 62:
+        return chr(63 + n)
+    return "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+
+
 def graph6_encode(g: Graph) -> str:
     """Encode in graph6 text form (one line, no trailing newline)."""
-    if g.n <= 62:
-        head = chr(63 + g.n)
-    else:
-        head = "~" + "".join(chr(63 + (g.n >> s & 63)) for s in (12, 6, 0))
-    out = [head]
+    out = [_graph6_head(g.n)]
     acc = 0
     filled = 0
     for bit in _triangle_bits(g):
@@ -523,7 +463,11 @@ def graph6_encode(g: Graph) -> str:
 
 
 def graph6_decode(line: str) -> Graph:
-    """Decode one graph6 line; raises ParseError with the offending byte offset."""
+    """Decode one graph6 line; raises ParseError with the offending byte offset.
+
+    Only the spelling that graph6_encode produces is accepted: the order
+    field in its shortest form and zero padding bits.
+    """
     s = line.rstrip("\r\n")
     if not s:
         raise ParseError("empty graph6 input", offset=0)
@@ -550,36 +494,32 @@ def graph6_decode(line: str) -> Graph:
         pos = 1
     if n > MAX_ORDER:
         raise OrderTooLarge(f"graph6 order {n} exceeds {MAX_ORDER}")
+    if s[:pos] != _graph6_head(n):
+        raise ParseError(f"graph6 order {n} needs the short order field", offset=0)
 
-    need = (n * (n - 1) // 2 + 5) // 6
+    total = n * (n - 1) // 2
+    need = (total + 5) // 6
     data = s[pos:]
     if len(data) < need:
         raise ParseError(f"graph6 data truncated: need {need} bytes, got {len(data)}", offset=len(s))
     if len(data) > need:
         raise ParseError("trailing bytes after graph6 data", offset=pos + need)
 
-    adj = [0] * n
-    bit_index = 0
-    total = n * (n - 1) // 2
+    word = 0
     for off, c in enumerate(data):
         v = ord(c) - 63
         if not 0 <= v <= 63:
             raise ParseError(f"invalid graph6 byte {c!r}", offset=pos + off)
-        for shift in range(5, -1, -1):
-            if bit_index >= total:
-                break
-            if v >> shift & 1:
-                i, j = _triangle_position(bit_index)
+        word = word << 6 | v
+    pad = 6 * need - total
+    if word & ((1 << pad) - 1):
+        raise ParseError("nonzero padding bits in graph6 data", offset=len(s) - 1)
+    adj = [0] * n
+    bit = 1 << (6 * need)
+    for j in range(1, n):  # the order of _triangle_bits
+        for i in range(j):
+            bit >>= 1
+            if word & bit:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-            bit_index += 1
     return Graph(n, tuple(adj))
-
-
-def _triangle_position(k: int) -> tuple[int, int]:
-    # column-major upper triangle: k-th bit lies in column j, row i
-    j = 1
-    while k >= j:
-        k -= j
-        j += 1
-    return k, j

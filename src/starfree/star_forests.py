@@ -1,4 +1,4 @@
-"""Star forests: degree-list representation, exact containment, two edge bounds.
+"""Star forests: degree-list representation, exact containment, the coarse edge bound.
 
 A star forest is a vertex-disjoint union of stars, recorded by the sorted
 list of leaf counts d1 >= ... >= dk >= 1.  Containment of a star forest as a
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 
 from .errors import ParamOutOfRange, ParseError
 from .graphs import Graph, degrees
@@ -249,7 +248,7 @@ def avoids_star_forest(g: Graph, forest: StarForest) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# edge bounds
+# edge bound
 # ---------------------------------------------------------------------------
 
 
@@ -266,22 +265,3 @@ def coarse_edge_bound(forest: StarForest, n: int) -> int:
     s = forest.leaf_total
     return (s + 2 * k - 3) * n - (k - 1) * (s + k - 1)
 
-
-def tight_edge_bound(forest: StarForest, n: int) -> int:
-    """Asymptotically sharp edge bound (requires every star to have >= 2 leaves).
-
-    max over 1 <= i <= k of (i-1)(n-i+1) + C(i-1,2) + floor((d_i - 1)(n-i+1)/2).
-    """
-    k = forest.k
-    d = forest.degrees
-    if k < 2:
-        raise ParamOutOfRange(f"the tight edge bound needs at least two stars, got k={k}")
-    if d[-1] < 2:
-        raise ParamOutOfRange(f"the tight edge bound needs every star to have >= 2 leaves: {d}")
-    if n < forest.order:
-        raise ParamOutOfRange(f"order {n} is below the forest order {forest.order}")
-    best = 0
-    for i in range(1, k + 1):
-        term = (i - 1) * (n - i + 1) + comb(i - 1, 2) + (d[i - 1] - 1) * (n - i + 1) // 2
-        best = max(best, term)
-    return best

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from starfree.enumeration import EnumerationCache
-from starfree.graphs import Graph, canonical_code, from_edges
+from starfree.graphs import Graph, canonical_form, from_edges
 
 
 @pytest.fixture(scope="session")
@@ -70,13 +70,13 @@ def labeled_census(n: int) -> dict:
     """Labeled-enumeration-plus-dedup oracle: canonical code -> representative."""
     reps = {}
     for g in all_labeled_graphs(n):
-        reps.setdefault(canonical_code(g).code, g)
+        reps.setdefault(canonical_form(g).code, g)
     return reps
 
 
 def brute_min_cols(g: Graph) -> tuple:
     """Reference minimum of the ordering-dependent column code over all n!
-    orderings; used to check canonical_code classifies like the brute force."""
+    orderings; used to check canonical_form classifies like the brute force."""
     best = None
     for perm in itertools.permutations(range(g.n)):
         cols = []

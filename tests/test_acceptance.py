@@ -23,7 +23,6 @@ from starfree.families import (
     signless_radius_bound,
 )
 from starfree.graphs import (
-    canonical_code,
     edge_count,
     is_bipartite,
     is_connected,

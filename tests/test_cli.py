@@ -80,10 +80,19 @@ class TestBoundsAndThresholds:
         assert code == 1
         assert "ParseError" in err
 
-    def test_usage_error_exit_two(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["bound", "nosuch", "1", "2"])
-        assert exc.value.code == 2
+    def test_usage_error_exit_two(self, capsys):
+        for argv in (
+            ["bound", "nosuch", "1", "2"],
+            ["construct", "kb", "2"],
+            ["construct", "joinreg", "10", "3"],
+            ["bound", "t17", "10", "3"],
+            ["bound", "t18", "10", "3", "2"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2, argv
+            out = capsys.readouterr()
+            assert out.out == "" and "usage:" in out.err, argv
 
 
 class TestSearchAndSuites:

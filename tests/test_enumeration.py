@@ -11,8 +11,8 @@ from starfree.enumeration import (
 )
 from starfree.errors import OrderTooLarge, ParamOutOfRange
 from starfree.graphs import (
-    canonical_code,
     canonical_form,
+    graph6_encode,
     is_bipartite,
     is_connected,
 )
@@ -22,7 +22,7 @@ def census_counts(n: int) -> dict:
     """Labeled-enumeration-plus-dedup oracle, per class."""
     reps = {}
     for g in all_labeled_graphs(n):
-        reps.setdefault(canonical_code(g).code, g)
+        reps.setdefault(canonical_form(g).code, g)
     out = {c: 0 for c in GraphClass}
     for g in reps.values():
         bip = is_bipartite(g) is not None
@@ -75,14 +75,22 @@ class TestCounts:
         for cls in GraphClass:
             seen = set()
             for g in enumerate_graphs(6, cls, cache):
-                code = canonical_code(g).code
+                code = canonical_form(g).code
                 assert code not in seen
                 seen.add(code)
                 assert canonical_form(g).graph == g
 
     def test_stream_sorted_by_code(self, cache):
-        codes = [canonical_code(g).code for g in enumerate_graphs(5, GraphClass.ALL, cache)]
+        codes = [canonical_form(g).code for g in enumerate_graphs(5, GraphClass.ALL, cache)]
         assert codes == sorted(codes)
+        # each level's code is the graph6 of its canonical graph, and the
+        # level is strictly increasing in it
+        for base, top in (("all", 8), ("bipartite", 10)):
+            for n in range(1, top + 1):
+                level = cache.level(base, n)
+                codes = [entry.code for entry in level]
+                assert codes == [graph6_encode(entry.graph) for entry in level]
+                assert all(a < b for a, b in zip(codes, codes[1:])), (base, n)
 
     def test_class_predicates_respected(self, cache):
         for g in enumerate_graphs(6, GraphClass.CONNECTED_BIPARTITE, cache):

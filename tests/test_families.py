@@ -28,7 +28,7 @@ from starfree.families import (
     threshold_report,
 )
 from starfree.graphs import (
-    canonical_code,
+    canonical_form,
     degrees,
     edge_count,
     edges,
@@ -79,11 +79,11 @@ class TestConstructions:
             __import__("starfree.graphs", fromlist=["complete_graph"]).complete_graph(2),
             cycle_graph(8),
         )
-        assert canonical_code(g) == canonical_code(want)
+        assert canonical_form(g).code == canonical_form(want).code
 
     def test_join_regular_matching_case(self):
         g = make_clique_join_regular(7, 2, 2)
-        assert canonical_code(g) == canonical_code(make_clique_join_matching(7, 2))
+        assert canonical_form(g).code == canonical_form(make_clique_join_matching(7, 2)).code
 
     def test_join_regular_parity_failure(self):
         with pytest.raises(NoRegularGraph):
@@ -105,9 +105,9 @@ class TestConstructions:
     def test_matching_join_equals_regular_join_when_even(self):
         for n, k in [(7, 2), (9, 4), (12, 3), (11, 2)]:
             if (n - k + 1) % 2 == 0:
-                assert canonical_code(make_clique_join_matching(n, k)) == canonical_code(
+                assert canonical_form(make_clique_join_matching(n, k)).code == canonical_form(
                     make_clique_join_regular(n, k, 2)
-                )
+                ).code
 
     def test_matching_join_strict_when_odd(self):
         for n, k in [(10, 2), (8, 3), (12, 5)]:
@@ -301,7 +301,7 @@ class TestBoundReports:
         rep = evaluate_bound("t18", 11, 3)
         assert rep.value == pytest.approx(math.sqrt(18), abs=TOL)
         g = graph6_decode(rep.attained_by)
-        assert canonical_code(g) == canonical_code(make_complete_bipartite(2, 9))
+        assert canonical_form(g).code == canonical_form(make_complete_bipartite(2, 9)).code
 
     def test_t17_attainment_presence(self):
         assert evaluate_bound("t17", 10, 3, 3).attained_by is not None

@@ -7,14 +7,11 @@ from conftest import all_labeled_graphs, brute_min_cols, cycle_graph, path_graph
 from starfree.enumeration import GraphClass, enumerate_graphs
 from starfree.errors import BadEdge, OrderTooLarge, ParseError
 from starfree.graphs import (
-    CanonicalCode,
     _equitable_colors,
-    canonical_code,
     canonical_form,
     check_invariants,
     complete_graph,
     degrees,
-    disjoint_copies,
     edge_count,
     empty_graph,
     from_edges,
@@ -58,22 +55,16 @@ class TestConstruction:
         assert g.n == 5 and edge_count(g) == 7
 
     def test_join_singletons(self):
-        assert canonical_code(join(empty_graph(1), empty_graph(1))) == canonical_code(complete_graph(2))
+        k2 = canonical_form(complete_graph(2)).code
+        assert canonical_form(join(empty_graph(1), empty_graph(1))).code == k2
 
     def test_join_with_complete(self):
-        assert canonical_code(join(complete_graph(1), complete_graph(3))) == canonical_code(complete_graph(4))
-
-    def test_disjoint_copies_matching(self):
-        g = disjoint_copies(3, complete_graph(2))
-        assert g.n == 6 and edge_count(g) == 3 and set(degrees(g)) == {1}
+        k4 = canonical_form(complete_graph(4)).code
+        assert canonical_form(join(complete_graph(1), complete_graph(3))).code == k4
 
     def test_union(self):
         g = union(path_graph(3), empty_graph(1))
         assert g.n == 4 and edge_count(g) == 2
-
-    def test_single_copy_identity(self):
-        g = path_graph(4)
-        assert disjoint_copies(1, g) == g
 
     def test_join_order_cap(self):
         with pytest.raises(OrderTooLarge):
@@ -81,7 +72,7 @@ class TestConstruction:
 
     def test_c5_self_complementary(self):
         pentagram = from_edges(5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)])
-        assert canonical_code(pentagram) == canonical_code(cycle_graph(5))
+        assert canonical_form(pentagram).code == canonical_form(cycle_graph(5)).code
 
     def test_constructions_keep_invariants(self):
         rng = random.Random(42)
@@ -116,7 +107,7 @@ class TestPredicates:
 
     def test_join_hub_degree(self):
         # a 2-clique joined to (two disjoint edges plus an isolated vertex)
-        rest = union(disjoint_copies(2, complete_graph(2)), empty_graph(1))
+        rest = union(union(complete_graph(2), complete_graph(2)), empty_graph(1))
         g = join(complete_graph(2), rest)
         assert is_connected(g)
         assert max_degree(g) == 6
@@ -144,13 +135,13 @@ class TestCanonical:
         for _ in range(20):
             perm = list(range(4))
             rng.shuffle(perm)
-            assert canonical_code(relabel(g, tuple(perm))) == canonical_code(g)
+            assert canonical_form(relabel(g, tuple(perm))).code == canonical_form(g).code
 
     def test_distinguishes_same_degree_count(self):
-        assert canonical_code(path_graph(4)) != canonical_code(star_graph(3))
+        assert canonical_form(path_graph(4)).code != canonical_form(star_graph(3)).code
 
     def test_eleven_classes_on_four_vertices(self):
-        codes = {canonical_code(g).code for g in all_labeled_graphs(4)}
+        codes = {canonical_form(g).code for g in all_labeled_graphs(4)}
         assert len(codes) == 11
 
     def test_classifies_exactly_like_brute_force(self):
@@ -160,7 +151,7 @@ class TestCanonical:
             by_canon = {}
             by_brute = {}
             for i, g in enumerate(all_labeled_graphs(n)):
-                by_canon.setdefault(canonical_code(g).code, set()).add(i)
+                by_canon.setdefault(canonical_form(g).code, set()).add(i)
                 by_brute.setdefault(brute_min_cols(g), set()).add(i)
             assert sorted(map(sorted, by_canon.values())) == sorted(map(sorted, by_brute.values()))
 
@@ -172,35 +163,35 @@ class TestCanonical:
             g = from_edges(n, es)
             perm = list(range(n))
             rng.shuffle(perm)
-            assert canonical_code(g) == canonical_code(relabel(g, tuple(perm)))
+            assert canonical_form(g).code == canonical_form(relabel(g, tuple(perm))).code
             cf = canonical_form(g)
-            assert canonical_code(cf.graph) == cf.code  # representative is canonical
+            assert canonical_form(cf.graph).code == cf.code  # representative is canonical
+            assert cf.code == graph6_encode(cf.graph)
             for sigma in cf.generators:
                 assert relabel(cf.graph, sigma) == cf.graph
 
     def test_brute_oracle_distinct_on_classes_n6(self):
         # one representative per class: the all-orderings minimum must
-        # separate them exactly as canonical_code does
+        # separate them exactly as the canonical codes do
         from starfree.enumeration import enumerate_graphs
 
         reps = list(enumerate_graphs(6))
-        assert len({canonical_code(g).code for g in reps}) == len(reps)
+        assert len({canonical_form(g).code for g in reps}) == len(reps)
         assert len({brute_min_cols(g) for g in reps}) == len(reps)
 
     def test_code_carries_order(self):
-        assert canonical_code(empty_graph(1)) != canonical_code(empty_graph(2))
-        assert canonical_code(empty_graph(1)) == CanonicalCode(1, b"")
+        assert canonical_form(empty_graph(1)).code != canonical_form(empty_graph(2)).code
+        assert (canonical_form(empty_graph(1)).code, canonical_form(empty_graph(2)).code) == ("@", "A?")
 
     def test_ceiling(self):
         with pytest.raises(OrderTooLarge):
-            canonical_code(empty_graph(13))
-        canonical_code(empty_graph(13), ceiling=13)
+            canonical_form(empty_graph(13))
 
     def test_canonical_form_is_isomorphic_relabelling(self):
         g = cycle_graph(6)
         h = canonical_form(g).graph
         assert degrees(h) == degrees(g)
-        assert canonical_code(h) == canonical_code(g)
+        assert canonical_form(h).code == canonical_form(g).code
 
 
 def orbits(n: int, group) -> set[frozenset[int]]:
@@ -317,6 +308,13 @@ class TestGraph6:
         with pytest.raises(ParseError) as exc:
             graph6_decode("C" + chr(30))
         assert exc.value.offset == 1
+        # one spelling per graph: "Bw" is the only accepted graph6 of K_3, so
+        # nonzero padding bits and a long order field for n <= 62 are errors
+        assert graph6_decode("Bw") == complete_graph(3)
+        for line, offset in (("Bx", 1), ("B~", 1), ("~??Bw", 0), ("~~?????Bw", 0), ("DQp", 2)):
+            with pytest.raises(ParseError) as exc:
+                graph6_decode(line)
+            assert exc.value.offset == offset, line
 
     def test_order_beyond_ceiling(self):
         with pytest.raises(OrderTooLarge):

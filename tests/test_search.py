@@ -10,7 +10,7 @@ from starfree.families import (
     make_complete_bipartite,
     radius_bound_general,
 )
-from starfree.graphs import canonical_form, graph6_decode, graph6_encode
+from starfree.graphs import canonical_form, graph6_decode
 from starfree.search import (
     SearchRecord,
     applicable_bound,
@@ -35,7 +35,7 @@ class TestExtremalSearch:
         constructed = make_clique_join_matching(7, 2)
         assert avoids_star_forest(constructed, f)
         assert rec.max_rho >= spectral_radius(constructed) - TOL
-        assert graph6_encode(canonical_form(constructed).graph) in rec.argmax
+        assert canonical_form(constructed).code in rec.argmax
         # this order happens to attain the closed form exactly
         assert rec.max_rho == pytest.approx(radius_bound_general(7, 2, 2), abs=TOL)
         assert rec.count_enumerated == 853
@@ -44,7 +44,7 @@ class TestExtremalSearch:
         rec = extremal_search(6, StarForest((1, 1)), GraphClass.ALL, cache)
         assert rec.max_rho == pytest.approx(math.sqrt(5), abs=TOL)
         star6 = make_complete_bipartite(1, 5)
-        assert graph6_encode(canonical_form(star6).graph) in rec.argmax
+        assert canonical_form(star6).code in rec.argmax
 
     def test_bipartite_class_star_lower_bound(self, cache):
         rec = extremal_search(8, StarForest((2, 2)), GraphClass.CONNECTED_BIPARTITE, cache)
@@ -119,7 +119,7 @@ class TestConjectureScan:
         f = StarForest((2, 2))
         table = conjecture_margin_table(7, f, GraphClass.CONNECTED, cache)
         # the join-matching construction appears with margin ~ 0 at this order
-        target = graph6_encode(canonical_form(make_clique_join_matching(7, 2)).graph)
+        target = canonical_form(make_clique_join_matching(7, 2)).code
         margins = {r.graph6: r.margin for r in table.rows}
         assert target in margins
         assert margins[target] == pytest.approx(0.0, abs=TOL)
@@ -127,7 +127,7 @@ class TestConjectureScan:
 
     def test_edgeless_row_negative(self, cache):
         table = conjecture_margin_table(6, StarForest((2, 2)), GraphClass.ALL, cache)
-        edgeless = graph6_encode(canonical_form(graph6_decode("E???")).graph)
+        edgeless = canonical_form(graph6_decode("E???")).code
         rows = {r.graph6: r for r in table.rows}
         assert rows[edgeless].q == pytest.approx(0.0, abs=TOL)
         assert rows[edgeless].margin < -1.0

@@ -7,7 +7,6 @@ from conftest import cycle_graph, path_graph, star_forests_up_to, star_graph
 from starfree.errors import ParamOutOfRange, ParseError
 from starfree.graphs import (
     complete_graph,
-    disjoint_copies,
     edge_count,
     empty_graph,
     from_edges,
@@ -21,7 +20,6 @@ from starfree.star_forests import (
     contains_star_forest,
     contains_star_forest_oracle,
     parse_star_forest,
-    tight_edge_bound,
 )
 
 
@@ -72,7 +70,7 @@ class TestContainment:
 
     def test_forest_contains_itself(self):
         f = StarForest((2, 2))
-        g = disjoint_copies(2, star_graph(2))
+        g = union(star_graph(2), star_graph(2))
         assert contains_star_forest(g, f)
         assert not avoids_star_forest(g, f)
 
@@ -157,18 +155,6 @@ class TestEdgeBounds:
             coarse_edge_bound(StarForest((3,)), 10)
         with pytest.raises(ParamOutOfRange):
             coarse_edge_bound(StarForest((2, 2)), 5)
-
-    def test_tight_values(self):
-        assert tight_edge_bound(StarForest((2, 2)), 10) == 13
-        # terms at (2,2,2), n=12 are 6, 16, 26 = 2*10 + C(2,2) + 5
-        assert tight_edge_bound(StarForest((2, 2, 2)), 12) == 26
-        assert tight_edge_bound(StarForest((3, 3)), 9) == 16
-
-    def test_tight_hypotheses(self):
-        with pytest.raises(ParamOutOfRange):
-            tight_edge_bound(StarForest((2, 1)), 10)
-        with pytest.raises(ParamOutOfRange):
-            tight_edge_bound(StarForest((2,)), 10)
 
     def test_coarse_bound_holds_on_free_graphs(self):
         rng = random.Random(29)
