@@ -27,6 +27,7 @@ from .errors import (
     ParamOutOfRange,
 )
 from .graphs import (
+    MAX_ORDER,
     Graph,
     complete_graph,
     degrees,
@@ -49,7 +50,8 @@ class BoundReport:
 
     ``value`` is a float for the radius bounds and an exact Fraction for the
     order thresholds.  ``attained_by`` carries the graph6 of the extremal
-    construction when it exists at these parameters.
+    construction when it exists at these parameters with at most MAX_ORDER
+    vertices, and is None otherwise.
     """
 
     name: str
@@ -254,14 +256,16 @@ def evaluate_bound(name: str, n: int, k: int, d_k: int | None = None) -> BoundRe
             raise ParamOutOfRange(f"bound {name!r} needs d_k")
         value = radius_bound_general(n, k, d_k) if name == "t17" else signless_radius_bound(n, k, d_k)
         attained = None
-        try:
-            attained = graph6_encode(make_clique_join_regular(n, k, d_k))
-        except (NoRegularGraph, ParamOutOfRange):
-            attained = None
+        if n <= MAX_ORDER:
+            try:
+                attained = graph6_encode(make_clique_join_regular(n, k, d_k))
+            except (NoRegularGraph, ParamOutOfRange):
+                pass
         return BoundReport(name, {"n": n, "k": k, "d_k": d_k}, value, attained)
     if name in ("t18", "c19"):
         value = radius_bound_bipartite(n, k) if name == "t18" else least_eigenvalue_bound(n, k)
-        attained = graph6_encode(make_complete_bipartite(k - 1, n - k + 1)) if n > k - 1 >= 1 else None
+        attained = (graph6_encode(make_complete_bipartite(k - 1, n - k + 1))
+                    if MAX_ORDER >= n > k - 1 >= 1 else None)
         return BoundReport(name, {"n": n, "k": k}, value, attained)
     raise ParamOutOfRange(f"unknown bound name {name!r}; choose from {BOUND_NAMES}")
 

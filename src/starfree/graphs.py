@@ -165,9 +165,23 @@ def edges(g: Graph) -> list[tuple[int, int]]:
     return out
 
 
+def _component(g: Graph, start: int) -> int:
+    """Vertex mask of the component that holds the single-vertex mask ``start``."""
+    seen = frontier = start
+    while frontier:
+        nxt = 0
+        while frontier:
+            v = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            nxt |= g.adj[v]
+        frontier = nxt & ~seen
+        seen |= frontier
+    return seen
+
+
 def is_connected(g: Graph) -> bool:
     """Connectivity; the order-0 and order-1 graphs count as connected."""
-    return len(connected_components(g)) <= 1
+    return g.n <= 1 or _component(g, 1) == (1 << g.n) - 1
 
 
 def connected_components(g: Graph) -> list[int]:
@@ -175,19 +189,9 @@ def connected_components(g: Graph) -> list[int]:
     remaining = (1 << g.n) - 1
     comps = []
     while remaining:
-        start = remaining & -remaining
-        seen = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            while frontier:
-                v = (frontier & -frontier).bit_length() - 1
-                frontier &= frontier - 1
-                nxt |= g.adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        comps.append(seen)
-        remaining &= ~seen
+        comp = _component(g, remaining & -remaining)
+        comps.append(comp)
+        remaining &= ~comp
     return comps
 
 

@@ -360,6 +360,7 @@ def read_records(path) -> list[SearchRecord]:
                 continue
             try:
                 out.append(SearchRecord.from_json_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+            except (json.JSONDecodeError, KeyError, ValueError, TypeError,
+                    ParseError, ParamOutOfRange) as exc:
                 raise ParseError(f"bad search record: {exc}", line=lineno) from None
     return out

@@ -2,9 +2,17 @@
 
 A star forest is a vertex-disjoint union of stars, recorded by the sorted
 list of leaf counts d1 >= ... >= dk >= 1.  Containment of a star forest as a
-subgraph is decided exactly: candidate center subsets are enumerated, roles
-are matched to centers by degrees, and the leaf assignment is settled by a
-maximum-flow feasibility check (unit leaf capacities make disjointness exact).
+subgraph is decided exactly: candidate center sets C are enumerated, each
+center c_i of C is given a star size caps[i], and Hall's condition settles
+whether every center can have caps[i] private leaves outside C.  Copy each
+c_i caps[i] times; the stars exist iff the copies have a matching into the
+leaves that saturates them.  By Hall's theorem that holds iff every set T of
+copies sees at least |T| leaves.  Copies of one center share its
+neighbourhood, so a set T meeting the copies of the centers in S sees the
+same leaves as all copies of S, which is the largest such T.  The condition
+thus reduces to the subsets S of centers:
+    |(union of N(c_i) over i in S) - C| >= sum of caps[i] over i in S,
+at most 2^k - 1 counts for k <= MAX_STARS stars.
 A brute-force oracle with the same semantics backs the fast path in tests.
 
 Before the search, high-degree vertices are peeled.  Lemma: let F have
@@ -26,7 +34,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ParamOutOfRange, ParseError
-from .graphs import Graph, degrees
+from .graphs import Graph
 
 MAX_STARS = 8  # center-subset enumeration is exponential in the star count
 
@@ -91,67 +99,23 @@ def parse_star_forest(text: str) -> StarForest:
 # ---------------------------------------------------------------------------
 
 
-def _leaf_assignment_exists(g: Graph, centers: tuple[int, ...], caps: tuple[int, ...]) -> bool:
-    """Max-flow feasibility: can center i get caps[i] private leaves?
+def _leaves_fit(rows: list[int], caps: tuple[int, ...]) -> bool:
+    """Hall's condition: can center i get caps[i] private leaves from rows[i]?
 
-    Bipartite b-matching via augmenting paths (Ford-Fulkerson with the
-    centers as a super-source); each leaf holds at most one unit.
+    Every subset of centers must see at least as many leaves as it needs.
+    Each subset's union and demand extend those of the subset without its
+    lowest member.
     """
-    cmask = 0
-    for c in centers:
-        cmask |= 1 << c
-    leaf_pool = 0
-    for c in centers:
-        leaf_pool |= g.adj[c] & ~cmask
-    leaves = []
-    index = {}
-    while leaf_pool:
-        v = (leaf_pool & -leaf_pool).bit_length() - 1
-        leaf_pool &= leaf_pool - 1
-        index[v] = len(leaves)
-        leaves.append(v)
-
-    neigh = []
-    for c in centers:
-        row = g.adj[c] & ~cmask
-        lst = []
-        while row:
-            v = (row & -row).bit_length() - 1
-            row &= row - 1
-            lst.append(index[v])
-        neigh.append(lst)
-
-    match = [-1] * len(leaves)  # leaf -> center index
-    load = [0] * len(centers)
-
-    def augment(ci: int, seen: list[bool]) -> bool:
-        for li in neigh[ci]:
-            if seen[li]:
-                continue
-            seen[li] = True
-            other = match[li]
-            if other == -1 or augment(other, seen):
-                # unmatched, or the current owner rerouted to another leaf
-                match[li] = ci
-                return True
-        return False
-
-    need = sum(caps)
-    if len(leaves) < need:
-        return False
-    flow = 0
-    progress = True
-    while progress and flow < need:
-        progress = False
-        for ci in range(len(centers)):
-            while load[ci] < caps[ci]:
-                if augment(ci, [False] * len(leaves)):
-                    load[ci] += 1
-                    flow += 1
-                    progress = True
-                else:
-                    break
-    return flow == need
+    union = [0] * (1 << len(rows))
+    demand = [0] * (1 << len(rows))
+    for s in range(1, 1 << len(rows)):
+        low = s & -s
+        i = low.bit_length() - 1
+        union[s] = union[s ^ low] | rows[i]
+        demand[s] = demand[s ^ low] + caps[i]
+        if union[s].bit_count() < demand[s]:
+            return False
+    return True
 
 
 def contains_star_forest(g: Graph, forest: StarForest) -> bool:
@@ -161,11 +125,9 @@ def contains_star_forest(g: Graph, forest: StarForest) -> bool:
     disjoint); an edge between two chosen centers is simply unused.  Vertices
     with at least |F| - 1 live neighbours are peeled first, each taking the
     largest remaining star (see the module docstring); the center-subset
-    search then runs on the live vertices with the stars that are left.
+    search then runs on the live vertices with the stars that are left; it
+    raises ParamOutOfRange when more than MAX_STARS stars are left for it.
     """
-    k = forest.k
-    if k > MAX_STARS:
-        raise ParamOutOfRange(f"containment supports at most {MAX_STARS} stars, got {k}")
     if g.n < forest.order:
         return False
     live = (1 << g.n) - 1
@@ -180,11 +142,13 @@ def contains_star_forest(g: Graph, forest: StarForest) -> bool:
         d = d[1:]
     if not d:
         return True
-    if len(d) < k:
-        # peeled vertices keep their index but lose every edge
-        g = Graph(g.n, tuple(row & live if live >> v & 1 else 0 for v, row in enumerate(g.adj)))
-        k = len(d)
-    deg = degrees(g)
+    k = len(d)
+    if k > MAX_STARS:
+        raise ParamOutOfRange(f"containment supports at most {MAX_STARS} stars left "
+                              f"after the peel, got {k}")
+    # peeled vertices keep their index but lose every edge
+    adj = [row & live if live >> v & 1 else 0 for v, row in enumerate(g.adj)]
+    deg = [row.bit_count() for row in adj]
     cands = [v for v in range(g.n) if deg[v] >= d[-1]]
     if len(cands) < k:
         return False
@@ -196,13 +160,14 @@ def contains_star_forest(g: Graph, forest: StarForest) -> bool:
         cmask = 0
         for c in centers:
             cmask |= 1 << c
-        out = [(g.adj[c] & ~cmask).bit_count() for c in centers]
+        rows = [adj[c] & ~cmask for c in centers]
+        out = [row.bit_count() for row in rows]
         ranked = sorted(out, reverse=True)
         if any(ranked[i] < sorted_d[i] for i in range(k)):
             continue
         for caps in assignments:
             if all(out[i] >= caps[i] for i in range(k)):
-                if _leaf_assignment_exists(g, centers, caps):
+                if _leaves_fit(rows, caps):
                     return True
     return False
 
@@ -211,7 +176,7 @@ def contains_star_forest_oracle(g: Graph, forest: StarForest) -> bool:
     """Exhaustive reference: try every center and every leaf subset.
 
     Exponential; meant for orders up to about 10.  Shares no machinery with
-    the flow-based decision procedure.
+    the Hall-condition decision procedure.
     """
     d = forest.degrees
 

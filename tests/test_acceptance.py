@@ -85,7 +85,7 @@ def test_criterion_02_join_regular_equality_and_strictness():
 
 
 def test_criterion_03_containment_oracle_equivalence(cache):
-    with criterion(3, "flow containment == exhaustive oracle, all classes n <= 7", budget=300):
+    with criterion(3, "Hall-condition containment == exhaustive oracle, all classes n <= 7", budget=300):
         disagreements = 0
         compared = 0
         for n in range(1, 8):

@@ -135,7 +135,7 @@ def _inner_edges(g, k):
 
 class TestFastPathsOnFamilies:
     """The containment peel and the certified Perron vector settle every
-    extremal family member without a flow call or a Jacobi fallback."""
+    extremal family member without a Hall check or a Jacobi fallback."""
 
     K = 4
 
@@ -153,14 +153,14 @@ class TestFastPathsOnFamilies:
         yield "jm", make_clique_join_matching(40, k), 2
         yield "sp", make_complete_split(40, k - 1), 1
 
-    def test_members_avoid_without_flow_or_jacobi(self, monkeypatch):
-        flows = count_calls(monkeypatch, "_leaf_assignment_exists", star_forests)
+    def test_members_avoid_without_hall_check_or_jacobi(self, monkeypatch):
+        halls = count_calls(monkeypatch, "_leaves_fit", star_forests)
         jacobi = count_calls(monkeypatch, "jacobi_eigensystem", spectra)
         for name, g, d in self._members(self.K):
             assert avoids_star_forest(g, StarForest((d,) * self.K)), name
             rho = np.linalg.eigvalsh(adjacency_matrix(g))[-1]
             assert perron_vector(g).rho == pytest.approx(rho, abs=TOL), name
-        assert flows == [] and jacobi == []
+        assert halls == [] and jacobi == []
 
     def test_one_more_inner_edge_contains(self):
         for n, k, d in ((41, self.K, 2), (40, self.K, 3), (10, 3, 2), (10, 2, 3)):
@@ -306,6 +306,10 @@ class TestBoundReports:
     def test_t17_attainment_presence(self):
         assert evaluate_bound("t17", 10, 3, 3).attained_by is not None
         assert evaluate_bound("t17", 8, 2, 2).attained_by is None  # parity gap
+        # the closed forms hold past MAX_ORDER, where no graph is built
+        assert evaluate_bound("t18", 64, 3).attained_by is not None
+        for args in (("t17", 1000000, 3, 2), ("t18", 100, 3), ("c19", 66, 3), ("conj32", 70, 3, 2)):
+            assert evaluate_bound(*args).attained_by is None, args
 
     def test_conj32_report(self):
         rep = evaluate_bound("conj32", 20, 3, 2)

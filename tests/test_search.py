@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -166,12 +167,14 @@ class TestPersistence:
     def test_malformed_line_number(self, cache, tmp_path):
         rec = extremal_search(5, StarForest((2, 1)), GraphClass.ALL, cache)
         path = tmp_path / "bad.jsonl"
-        write_records([rec], path)
-        with open(path, "a") as fh:
-            fh.write("{not json}\n")
-        with pytest.raises(ParseError) as exc:
-            read_records(path)
-        assert exc.value.line == 2
+        bad_forests = [json.dumps({**rec.to_json_dict(), "forest": t}) for t in ("x", "2:1", "0")]
+        for bad in ["{not json}"] + bad_forests:
+            write_records([rec], path)
+            with open(path, "a") as fh:
+                fh.write(bad + "\n")
+            with pytest.raises(ParseError) as exc:
+                read_records(path)
+            assert exc.value.line == 2, bad
 
 
 class TestBipartiteSuite:

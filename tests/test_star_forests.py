@@ -14,6 +14,7 @@ from starfree.graphs import (
     union,
 )
 from starfree.star_forests import (
+    MAX_STARS,
     StarForest,
     avoids_star_forest,
     coarse_edge_bound,
@@ -87,6 +88,13 @@ class TestContainment:
         assert contains_star_forest(g, StarForest((4,)))
         assert not contains_star_forest(g, StarForest((5,)))
 
+    def test_star_limit_binds_only_the_search(self):
+        nine = StarForest((1,) * (MAX_STARS + 1))
+        assert avoids_star_forest(empty_graph(5), nine)  # order test
+        assert contains_star_forest(complete_graph(20), nine)  # the peel places every star
+        with pytest.raises(ParamOutOfRange):
+            contains_star_forest(empty_graph(20), nine)
+
     def test_matches_oracle_exhaustively_small(self):
         forests = [StarForest(t) for t in star_forests_up_to(5, 3)]
         pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
@@ -96,10 +104,15 @@ class TestContainment:
                 assert contains_star_forest(g, f) == contains_star_forest_oracle(g, f)
 
     def test_matches_oracle_random(self):
+        # any three of the four degree-3 vertices of K_{4,3} see three
+        # leaves, all four see only three: every subset of centers counts
+        g = union(join(empty_graph(4), empty_graph(3)), empty_graph(1))
+        f = StarForest((1, 1, 1, 1))
+        assert not contains_star_forest(g, f) and not contains_star_forest_oracle(g, f)
         # 0-2 planted vertices adjacent to all others, under a random
         # relabelling, so that the high-degree peel fires on many inputs
         rng = random.Random(17)
-        forests = [StarForest(t) for t in star_forests_up_to(10, 3)]
+        forests = [StarForest(t) for t in star_forests_up_to(10, 4)]
         compared = peelable = 0
         while compared < 12000:
             n = rng.randint(6, 10)
