@@ -237,15 +237,6 @@ def _cmd_conjecture(args) -> int:
     forest = parse_star_forest(args.forest)
     cls = parse_graph_class(args.graph_class)
     table = conjecture_margin_table(args.n, forest, cls, EnumerationCache())
-    payload = {
-        "n": table.n,
-        "class": table.graph_class.value,
-        "forest": table.forest.text(),
-        "bound_value": table.bound_value,
-        "max_margin": table.max_margin,
-        "exceeders": list(table.exceeders),
-        "rows": [r.to_json_dict() for r in table.rows],
-    }
     lines = [
         f"n={table.n} class={table.graph_class.value} forest={table.forest.text()}"
         f"  bound {_sig(table.bound_value)}",
@@ -253,7 +244,7 @@ def _cmd_conjecture(args) -> int:
         f" {len(table.exceeders)} above the bound",
     ]
     lines += [f"  {r.graph6}  q={_sig(r.q)}  margin={_sig(r.margin)}" for r in table.rows]
-    _emit(args, payload, lines)
+    _emit(args, table.to_json_dict(), lines)
     if args.out:
         write_records(table.rows, args.out)
     return EXIT_OK

@@ -66,20 +66,34 @@ class SearchRecord:
 
     @staticmethod
     def from_json_dict(d: dict) -> "SearchRecord":
+        """Inverse of ``to_json_dict``; a field of the wrong type raises ParseError."""
         from .star_forests import parse_star_forest
 
+        argmax = _field(d, "argmax", list)
+        if not all(isinstance(g6, str) for g6 in argmax):
+            raise ParseError(f"field 'argmax' has bad value {argmax!r}")
+        bound_value = _field(d, "bound_value", float, int, type(None))
+        gap = _field(d, "gap", float, int, type(None))
         return SearchRecord(
-            n=int(d["n"]),
-            graph_class=GraphClass(d["class"]),
-            forest=parse_star_forest(d["forest"]),
-            count_enumerated=int(d["count_enumerated"]),
-            count_free=int(d["count_free"]),
-            max_rho=float(d["max_rho"]),
-            argmax=tuple(d["argmax"]),
-            bound_value=None if d["bound_value"] is None else float(d["bound_value"]),
-            bound_applicable=bool(d["bound_applicable"]),
-            gap=None if d["gap"] is None else float(d["gap"]),
+            n=_field(d, "n", int),
+            graph_class=GraphClass(_field(d, "class", str)),
+            forest=parse_star_forest(_field(d, "forest", str)),
+            count_enumerated=_field(d, "count_enumerated", int),
+            count_free=_field(d, "count_free", int),
+            max_rho=float(_field(d, "max_rho", float, int)),
+            argmax=tuple(argmax),
+            bound_value=None if bound_value is None else float(bound_value),
+            bound_applicable=_field(d, "bound_applicable", bool),
+            gap=None if gap is None else float(gap),
         )
+
+
+def _field(d: dict, key: str, *kinds: type):
+    """``d[key]`` if it is an instance of one of ``kinds``; a bool is never a number."""
+    value = d[key]
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        raise ParseError(f"field {key!r} has bad value {value!r}")
+    return value
 
 
 def applicable_bound(n: int, forest: StarForest, graph_class: GraphClass):
@@ -313,6 +327,17 @@ class QMarginTable:
     rows: tuple[QMarginRow, ...]
     max_margin: float
     exceeders: tuple[str, ...]
+
+    def to_json_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "class": self.graph_class.value,
+            "forest": self.forest.text(),
+            "bound_value": self.bound_value,
+            "max_margin": self.max_margin,
+            "exceeders": list(self.exceeders),
+            "rows": [r.to_json_dict() for r in self.rows],
+        }
 
 
 def conjecture_margin_table(

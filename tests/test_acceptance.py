@@ -201,7 +201,7 @@ def test_criterion_09_enumeration_oracle_agreement(cache):
 
 
 def test_criterion_10_solver_hygiene(cache):
-    with criterion(10, "trace, power sums, bipartite symmetry, power-vs-full agreement, n <= 8", budget=900):
+    with criterion(10, "trace, power sums, bipartite symmetry, LAPACK-vs-Jacobi agreement, n <= 8", budget=900):
         for n in range(1, 9):
             for g in enumerate_graphs(n, GraphClass.ALL, cache):
                 res = adjacency_spectrum(g)

@@ -134,8 +134,8 @@ def _inner_edges(g, k):
 
 
 class TestFastPathsOnFamilies:
-    """The containment peel and the certified Perron vector settle every
-    extremal family member without a Hall check or a Jacobi fallback."""
+    """The containment peel settles every extremal family member without a
+    Hall check, and the certified LAPACK Perron vector needs no Jacobi call."""
 
     K = 4
 

@@ -133,6 +133,14 @@ class TestConjectureScan:
         assert rows[edgeless].q == pytest.approx(0.0, abs=TOL)
         assert rows[edgeless].margin < -1.0
 
+    def test_json_dict(self, cache):
+        table = conjecture_margin_table(6, StarForest((2, 2)), GraphClass.CONNECTED, cache)
+        d = table.to_json_dict()
+        assert (d["n"], d["class"], d["forest"]) == (6, "connected", "2,2")
+        assert (d["bound_value"], d["max_margin"]) == (table.bound_value, table.max_margin)
+        assert d["exceeders"] == list(table.exceeders)
+        assert d["rows"] == [r.to_json_dict() for r in table.rows]
+
     def test_exceeders_recorded_not_asserted(self, cache):
         table = conjecture_margin_table(6, StarForest((2, 2)), GraphClass.ALL, cache)
         for g6 in table.exceeders:
@@ -168,7 +176,10 @@ class TestPersistence:
         rec = extremal_search(5, StarForest((2, 1)), GraphClass.ALL, cache)
         path = tmp_path / "bad.jsonl"
         bad_forests = [json.dumps({**rec.to_json_dict(), "forest": t}) for t in ("x", "2:1", "0")]
-        for bad in ["{not json}"] + bad_forests:
+        bad_fields = [json.dumps({**rec.to_json_dict(), key: value})
+                      for key, value in (("n", 5.7), ("argmax", "Dhc"), ("bound_applicable", "no"),
+                                         ("count_free", True), ("max_rho", False), ("argmax", [1]))]
+        for bad in ["{not json}"] + bad_forests + bad_fields:
             write_records([rec], path)
             with open(path, "a") as fh:
                 fh.write(bad + "\n")

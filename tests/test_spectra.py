@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import count_calls, cycle_graph, path_graph, star_graph
+from conftest import cycle_graph, path_graph, star_graph
 from starfree.enumeration import GraphClass, enumerate_graphs
 from starfree.errors import Disconnected, EmptyGraph
 from starfree.families import make_clique_join_matching, radius_bound_general
@@ -121,7 +121,7 @@ class TestLeastEigenvalue:
         assert least_eigenvalue(complete_graph(4)) == pytest.approx(-1.0, abs=TOL)
 
     def test_regular_bipartite_orthogonal_start_trap(self):
-        # all-ones is orthogonal to the dominant eigenvector of cI - A here
+        # K_{a,a}: the least eigenvector is +1 on one side, -1 on the other
         for a in (2, 3, 4):
             g = join(empty_graph(a), empty_graph(a))
             assert least_eigenvalue(g) == pytest.approx(-a, abs=TOL)
@@ -146,6 +146,15 @@ class TestSignlessLaplacian:
         g = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
         res = signless_laplacian_spectrum(g)
         assert sum(res.eigenvalues) == pytest.approx(sum(degrees(g)), abs=1e-8)
+
+    def test_agrees_with_full_spectrum(self):
+        rng = random.Random(51)
+        for _ in range(60):
+            n = rng.randint(1, 12)
+            es = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+            g = from_edges(n, es)
+            want = signless_laplacian_spectrum(g).eigenvalues[0]
+            assert signless_laplacian_radius(g) == pytest.approx(want, abs=TOL)
 
     def test_matrix_shape(self):
         g = star_graph(3)
@@ -188,18 +197,34 @@ class TestPerron:
         with pytest.raises(Disconnected):
             perron_vector(union(complete_graph(2), complete_graph(2)))
 
-    def test_jacobi_fallback_runs_once(self, monkeypatch):
-        import starfree.spectra as spectra_module
-
-        monkeypatch.setattr(spectra_module, "_power_largest", lambda m: None)
-        calls = count_calls(monkeypatch, "jacobi_eigensystem", spectra_module)
+    def test_matches_jacobi_eigenvector(self):
+        # the LAPACK vector against the independent Jacobi oracle
         g = join(empty_graph(2), empty_graph(9))
         data = perron_vector(g)
-        assert len(calls) == 1
-        vals, vecs = np.linalg.eigh(adjacency_matrix(g))
-        want = np.abs(vecs[:, -1]) / np.abs(vecs[:, -1]).max()
-        assert data.rho == pytest.approx(vals[-1], abs=TOL)
+        vals, vecs, _ = jacobi_eigensystem(adjacency_matrix(g))
+        want = np.abs(vecs[:, 0]) / np.abs(vecs[:, 0]).max()
+        assert data.rho == pytest.approx(vals[0], abs=TOL)
         assert np.max(np.abs(np.array(data.vector) - want)) < TOL
+
+    def test_ill_conditioned_full_order(self):
+        # K_32 with a pendant path of 32 vertices: entries along the path
+        # fall geometrically (about 31^-32 at its end), below LAPACK's
+        # resolution, yet the vector is certified and nonnegative
+        clique = [(i, j) for i in range(32) for j in range(i + 1, 32)]
+        g = from_edges(64, clique + [(i, i + 1) for i in range(31, 63)])
+        data = perron_vector(g)
+        v = np.array(data.vector)
+        assert np.max(np.abs(adjacency_matrix(g) @ v - data.rho * v)) <= 1e-11 * data.rho
+        assert v.min() >= 0 and v.max() == 1.0
+        assert data.floor_check()[0] is False
+
+    def test_uncertified_vector_raises(self, monkeypatch):
+        g = path_graph(4)
+        vals, vecs = np.linalg.eigh(adjacency_matrix(g))
+        vecs[:, -1] += 1e-6
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: (vals, vecs))
+        with pytest.raises(ArithmeticError):
+            perron_vector(g)
 
 
 class TestPerronFloor:
