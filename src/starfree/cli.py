@@ -56,11 +56,7 @@ from .spectra import (
     signless_laplacian_radius,
     spectral_radius,
 )
-from .star_forests import (
-    StarForest,
-    avoids_star_forest,
-    parse_star_forest,
-)
+from .star_forests import avoids_star_forest, parse_star_forest
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -69,9 +65,13 @@ EXIT_VIOLATIONS = 3
 
 
 def _load_graph(arg: str) -> Graph:
-    """graph6 inline, or a path to a file whose first line is graph6."""
+    """graph6 inline, or a path to a file whose first line is graph6.
+
+    The file is read as latin-1, so every byte reaches graph6_decode, which
+    rejects a non-graph6 byte with ParseError.
+    """
     if os.path.exists(arg):
-        with open(arg, "r", encoding="ascii") as fh:
+        with open(arg, "r", encoding="latin-1") as fh:
             for line in fh:
                 line = line.strip()
                 if line:
@@ -113,24 +113,9 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _cmd_rho(args) -> int:
-    g = _load_graph(args.graph)
-    value = spectral_radius(g)
-    _emit(args, {"rho": value}, [_sig(value)])
-    return EXIT_OK
-
-
-def _cmd_leig(args) -> int:
-    g = _load_graph(args.graph)
-    value = least_eigenvalue(g)
-    _emit(args, {"least_eigenvalue": value}, [_sig(value)])
-    return EXIT_OK
-
-
-def _cmd_q(args) -> int:
-    g = _load_graph(args.graph)
-    value = signless_laplacian_radius(g)
-    _emit(args, {"q": value}, [_sig(value)])
+def _cmd_scalar(args) -> int:
+    value = args.query(_load_graph(args.graph))
+    _emit(args, {args.json_key: value}, [_sig(value)])
     return EXIT_OK
 
 
@@ -158,14 +143,10 @@ def _cmd_free(args) -> int:
 
 def _cmd_bound(args) -> int:
     name = args.family
-    if name in ("t17", "conj32"):
-        if len(args.params) != 3:
-            args.parser.error(f"bound {name} needs n k d_k")
-        rep = evaluate_bound(name, args.params[0], args.params[1], args.params[2])
-    else:
-        if len(args.params) != 2:
-            args.parser.error(f"bound {name} needs n k")
-        rep = evaluate_bound(name, args.params[0], args.params[1])
+    needs = "n k d_k" if name in ("t17", "conj32") else "n k"
+    if len(args.params) != len(needs.split()):
+        args.parser.error(f"bound {name} needs {needs}")
+    rep = evaluate_bound(name, *args.params)
     lines = [f"{rep.name} {rep.params} = {_sig(rep.value)}"]
     if rep.attained_by:
         lines.append(f"attained_by {rep.attained_by}")
@@ -289,15 +270,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", type=int, nargs="+")
     p.set_defaults(fn=_cmd_construct, parser=p)
 
-    for name, fn, help_text in [
-        ("rho", _cmd_rho, "spectral radius of a graph"),
-        ("leig", _cmd_leig, "least adjacency eigenvalue"),
-        ("q", _cmd_q, "signless Laplacian spectral radius"),
-        ("spectrum", _cmd_spectrum, "full adjacency spectrum"),
+    for name, query, json_key, help_text in [
+        ("rho", spectral_radius, "rho", "spectral radius of a graph"),
+        ("leig", least_eigenvalue, "least_eigenvalue", "least adjacency eigenvalue"),
+        ("q", signless_laplacian_radius, "q", "signless Laplacian spectral radius"),
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("graph", help="graph6 string or file path")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_scalar, query=query, json_key=json_key)
+
+    p = sub.add_parser("spectrum", help="full adjacency spectrum")
+    p.add_argument("graph", help="graph6 string or file path")
+    p.set_defaults(fn=_cmd_spectrum)
 
     p = sub.add_parser("free", help="star-forest freeness of a graph")
     p.add_argument("graph", help="graph6 string or file path")

@@ -73,9 +73,10 @@ class BoundReport:
         return out
 
 
-def _fraction_decimal(q: Fraction, digits: int = 40) -> str:
+def _fraction_decimal(q: Fraction) -> str:
+    """q to 40 significant digits."""
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 40
         return str(Decimal(q.numerator) / Decimal(q.denominator))
 
 
@@ -112,18 +113,9 @@ def make_clique_join_matching(n: int, k: int) -> Graph:
     """
     if k < 1 or n < k - 1:
         raise ParamOutOfRange(f"need 1 <= k and n >= k-1, got n={n}, k={k}")
-    m = n - (k - 1)
-    p, s = divmod(m, 2)
-    rest = empty_graph(0)
-    if p:
-        rest = disjoint_edges(p)
-    if s:
-        rest = union(rest, empty_graph(1))
-    return join(complete_graph(k - 1), rest)
-
-
-def disjoint_edges(p: int) -> Graph:
-    return from_edges(2 * p, [(2 * i, 2 * i + 1) for i in range(p)])
+    p, s = divmod(n - k + 1, 2)
+    matching = from_edges(2 * p, [(2 * i, 2 * i + 1) for i in range(p)])
+    return join(complete_graph(k - 1), union(matching, empty_graph(s)))
 
 
 def circulant_regular(m: int, r: int) -> Graph:

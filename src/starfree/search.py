@@ -3,8 +3,7 @@
 A search scans one isomorphism-free class, filters by star-forest freeness,
 maximises the spectral radius, and records the outcome next to the matching
 closed-form bound.  Records serialise to JSON lines (graph6 payloads,
-deterministic key order) so runs diff cleanly, and merge associatively so a
-scan can be partitioned across workers.
+deterministic key order) so runs diff cleanly.
 """
 
 from __future__ import annotations
@@ -21,9 +20,9 @@ from .families import (
     radius_bound_general,
     signless_radius_bound,
 )
-from .graphs import edge_count, edges, from_edges, graph6_encode, is_triangle_free
+from .graphs import Graph, edge_count, edges, from_edges, graph6_encode, is_triangle_free
 from .spectra import adjacency_spectrum, signless_laplacian_radius, spectral_radius
-from .star_forests import StarForest, avoids_star_forest, coarse_edge_bound
+from .star_forests import StarForest, avoids_star_forest, coarse_edge_bound, parse_star_forest
 
 RHO_TIE_TOL = 1e-9
 
@@ -67,8 +66,6 @@ class SearchRecord:
     @staticmethod
     def from_json_dict(d: dict) -> "SearchRecord":
         """Inverse of ``to_json_dict``; a field of the wrong type raises ParseError."""
-        from .star_forests import parse_star_forest
-
         argmax = _field(d, "argmax", list)
         if not all(isinstance(g6, str) for g6 in argmax):
             raise ParseError(f"field 'argmax' has bad value {argmax!r}")
@@ -132,10 +129,14 @@ def extremal_search(
     graph_class: GraphClass = GraphClass.ALL,
     cache: EnumerationCache | None = None,
 ) -> SearchRecord:
-    """Scan the class, keep the forest-free graphs, maximise the radius."""
+    """Scan the class, keep the forest-free graphs, maximise the radius.
+
+    ``best`` holds every free graph seen so far within RHO_TIE_TOL of the
+    running maximum, so at the end it is the argmax set.
+    """
     count_enumerated = 0
     count_free = 0
-    best: list[tuple[float, str]] = []
+    best: list[tuple[float, Graph]] = []
     max_rho = float("-inf")
     for g in enumerate_graphs(n, graph_class, cache):
         count_enumerated += 1
@@ -143,17 +144,16 @@ def extremal_search(
             continue
         count_free += 1
         rho = spectral_radius(g)
-        if rho > max_rho + RHO_TIE_TOL:
+        if rho > max_rho:
             max_rho = rho
-            best = [(rho, graph6_encode(g))]
-        elif rho >= max_rho - RHO_TIE_TOL:
-            max_rho = max(max_rho, rho)
-            best.append((rho, graph6_encode(g)))
+            best = [(r, h) for r, h in best if r >= max_rho - RHO_TIE_TOL]
+        if rho >= max_rho - RHO_TIE_TOL:
+            best.append((rho, g))
     if count_free == 0:
         raise EmptyClass(
             f"no {forest}-free graph of order {n} in class {graph_class.value!r}"
         )
-    argmax = tuple(sorted(g6 for rho, g6 in best if rho >= max_rho - RHO_TIE_TOL))
+    argmax = tuple(sorted(graph6_encode(h) for _, h in best))
     bound_value, bound_applicable = applicable_bound(n, forest, graph_class)
     gap = None if bound_value is None else bound_value - max_rho
     return SearchRecord(
@@ -166,35 +166,6 @@ def extremal_search(
         argmax=argmax,
         bound_value=bound_value,
         bound_applicable=bound_applicable,
-        gap=gap,
-    )
-
-
-def merge_search_records(a: SearchRecord, b: SearchRecord) -> SearchRecord:
-    """Combine two records of disjoint shards of the same scan.
-
-    Associative and commutative, so shards may merge in any order.
-    """
-    if (a.n, a.graph_class, a.forest) != (b.n, b.graph_class, b.forest):
-        raise ParamOutOfRange("cannot merge records of different searches")
-    max_rho = max(a.max_rho, b.max_rho)
-    winners: set[str] = set()
-    for rec in (a, b):
-        if rec.max_rho >= max_rho - RHO_TIE_TOL:
-            winners.update(rec.argmax)
-    argmax = tuple(sorted(winners))
-    bound_value = a.bound_value if a.bound_value is not None else b.bound_value
-    gap = None if bound_value is None else bound_value - max_rho
-    return SearchRecord(
-        n=a.n,
-        graph_class=a.graph_class,
-        forest=a.forest,
-        count_enumerated=a.count_enumerated + b.count_enumerated,
-        count_free=a.count_free + b.count_free,
-        max_rho=max_rho,
-        argmax=argmax,
-        bound_value=bound_value,
-        bound_applicable=a.bound_applicable or b.bound_applicable,
         gap=gap,
     )
 
@@ -378,13 +349,13 @@ def write_records(records, path) -> None:
 def read_records(path) -> list[SearchRecord]:
     """Read JSON-line SearchRecords; ParseError carries the 1-based line number."""
     out = []
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                out.append(SearchRecord.from_json_dict(json.loads(line)))
+                out.append(SearchRecord.from_json_dict(json.loads(line.decode("ascii"))))
             except (json.JSONDecodeError, KeyError, ValueError, TypeError,
                     ParseError, ParamOutOfRange) as exc:
                 raise ParseError(f"bad search record: {exc}", line=lineno) from None

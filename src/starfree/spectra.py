@@ -28,8 +28,9 @@ from .errors import Disconnected, EmptyGraph
 from .graphs import Graph, degrees, is_connected, max_degree
 
 #: Jacobi stops when the off-diagonal Frobenius norm drops below this times
-#: max(1, ||M||_F).
+#: max(1, ||M||_F), or after _MAX_SWEEPS sweeps.
 SOLVER_TOL = 1e-12
+_MAX_SWEEPS = 60
 
 # ceiling on ||A x - rho x||_inf / max(1, rho) for the Perron vector x (max
 # entry 1); rho is certified by LAPACK's backward stability, and this
@@ -88,7 +89,7 @@ def signless_laplacian_matrix(g: Graph) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def jacobi_eigensystem(matrix: np.ndarray, max_sweeps: int = 60):
+def jacobi_eigensystem(matrix: np.ndarray):
     """All eigenpairs of a symmetric matrix by cyclic Jacobi rotations.
 
     Returns (values descending, vectors as columns in matching order,
@@ -105,7 +106,7 @@ def jacobi_eigensystem(matrix: np.ndarray, max_sweeps: int = 60):
     target = min(SOLVER_TOL, 1e-15 * n) * scale
     skip = target / max(1, 2 * n * n)
     diag = np.diag_indices(n)
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         # sum only the off-diagonal squares; subtracting the diagonal from the
         # total cancels catastrophically once the matrix is nearly diagonal
         b = a.copy()

@@ -64,9 +64,8 @@ class StarForest:
     def order(self) -> int:
         return self.leaf_total + self.k
 
-    def text(self, with_count: bool = False) -> str:
-        body = ",".join(str(d) for d in self.degrees)
-        return f"{self.k}:{body}" if with_count else body
+    def text(self) -> str:
+        return ",".join(str(d) for d in self.degrees)
 
     def __str__(self) -> str:
         return self.text()

@@ -50,6 +50,22 @@ class TestConstructAndQueries:
         code, out, _ = run(capsys, "free", graph6_encode(path_graph(5)), "2,1")
         assert code == 0 and out.strip() == "false"
 
+    def test_scalar_queries(self, capsys):
+        k29 = graph6_encode(make_complete_bipartite(2, 9))
+        for command, key, table, value in (("rho", "rho", "4.24264068712", math.sqrt(18)),
+                                           ("leig", "least_eigenvalue", "-4.24264068712",
+                                            -math.sqrt(18)),
+                                           ("q", "q", "11", 11.0)):
+            assert run(capsys, command, k29) == (0, table + "\n", ""), command
+            code, out, err = run(capsys, "--json", command, k29)
+            payload = json.loads(out)
+            assert (code, err, list(payload)) == (0, "", [key]), command
+            assert out == json.dumps(payload) + "\n", command
+            assert payload[key] == pytest.approx(value, abs=1e-12), command
+            # edgeless: exactly zero, without a solver call
+            assert run(capsys, command, "D??") == (0, "0\n", ""), command
+            assert run(capsys, "--json", command, "D??") == (0, f'{{"{key}": 0.0}}\n', ""), command
+
     def test_spectrum_json(self, capsys):
         code, out, _ = run(capsys, "--json", "spectrum", graph6_encode(make_complete_bipartite(2, 3)))
         payload = json.loads(out)
@@ -75,10 +91,37 @@ class TestBoundsAndThresholds:
         assert code == 1
         assert "DivisionByZeroK2" in err
 
-    def test_bad_graph6_domain_error(self, capsys):
+    def test_bad_graph6_domain_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "rho", "~~~nope!")
         assert code == 1
         assert "ParseError" in err
+        path = tmp_path / "bad.g6"
+        path.write_bytes(b"Dhc\xff\n")
+        code, out, err = run(capsys, "rho", str(path))
+        assert (code, out) == (1, "")
+        assert "ParseError" in err and "Traceback" not in err
+
+    def test_three_parameter_bounds(self, capsys):
+        assert run(capsys, "bound", "t17", "101", "3", "2") == (
+            0, "t17 {'n': 101, 'k': 3, 'd_k': 2} = 15.0712472795\n", "")
+        assert run(capsys, "--json", "bound", "t17", "101", "3", "2") == (
+            0, '{"attained_by": null, "name": "t17", "params": {"d_k": 2, "k": 3, "n": 101},'
+               ' "value": 15.071247279470288}\n', "")
+        assert run(capsys, "bound", "conj32", "70", "3", "2") == (
+            0, "conj32 {'n': 70, 'k': 3, 'd_k': 2} = 72\n", "")
+        assert run(capsys, "--json", "bound", "conj32", "70", "3", "2") == (
+            0, '{"attained_by": null, "name": "conj32", "params": {"d_k": 2, "k": 3, "n": 70},'
+               ' "value": 72.0}\n', "")
+
+    def test_bound_arity_messages(self, capsys):
+        usage = "usage: starfree bound [-h] {t17,t18,c19,conj32} params [params ...]\n"
+        for argv, message in ((["bound", "t17", "10", "3"], "bound t17 needs n k d_k"),
+                              (["bound", "t18", "10", "3", "2"], "bound t18 needs n k")):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            out = capsys.readouterr()
+            assert (exc.value.code, out.out) == (2, ""), argv
+            assert out.err == f"{usage}starfree bound: error: {message}\n", argv
 
     def test_usage_error_exit_two(self, capsys):
         for argv in (
@@ -156,6 +199,16 @@ class TestSearchAndSuites:
         payload = json.loads(out)
         assert len(payload["rows"]) >= 1
         assert payload["max_margin"] == max(r["margin"] for r in payload["rows"])
+
+    def test_conjecture_out_file(self, capsys, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        code, out, err = run(capsys, "--json", "conjecture", "6", "2,2", "all", "--out", str(path))
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (len(payload["rows"]), len(payload["exceeders"])) == (48, 4)
+        lines = path.read_text(encoding="ascii").splitlines()
+        assert lines == [json.dumps(row, sort_keys=True) for row in payload["rows"]]
+        assert lines[0] == '{"graph6": "E???", "margin": -6.449489742783178, "q": 0.0}'
 
     def test_perron(self, capsys):
         code, out, _ = run(capsys, "--json", "perron", graph6_encode(make_complete_bipartite(2, 9)))

@@ -311,7 +311,8 @@ class TestGraph6:
         # one spelling per graph: "Bw" is the only accepted graph6 of K_3, so
         # nonzero padding bits and a long order field for n <= 62 are errors
         assert graph6_decode("Bw") == complete_graph(3)
-        for line, offset in (("Bx", 1), ("B~", 1), ("~??Bw", 0), ("~~?????Bw", 0), ("DQp", 2)):
+        for line, offset in (("Bx", 1), ("B~", 1), ("~??Bw", 0), ("~~?????Bw", 0), ("DQp", 2),
+                             ("~?", 2), ("~~???", 5), (" ", 0)):
             with pytest.raises(ParseError) as exc:
                 graph6_decode(line)
             assert exc.value.offset == offset, line

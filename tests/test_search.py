@@ -13,11 +13,9 @@ from starfree.families import (
 )
 from starfree.graphs import canonical_form, graph6_decode
 from starfree.search import (
-    SearchRecord,
     applicable_bound,
     conjecture_margin_table,
     extremal_search,
-    merge_search_records,
     read_records,
     verify_bipartite_spectra,
     verify_edge_bound,
@@ -79,30 +77,6 @@ class TestExtremalSearch:
         assert not applicable
         value, _ = applicable_bound(9, StarForest((1,)), GraphClass.ALL)
         assert value is None
-
-
-class TestMerge:
-    def test_merge_shards(self, cache):
-        f = StarForest((2, 1))
-        rec = extremal_search(6, f, GraphClass.ALL, cache)
-        # simulate two shards by splitting the record's own summary
-        a = SearchRecord(6, GraphClass.ALL, f, 100, rec.count_free - 1, rec.max_rho - 1.0,
-                         ("E???",), rec.bound_value, rec.bound_applicable, None)
-        b = SearchRecord(6, GraphClass.ALL, f, 56, 1, rec.max_rho, rec.argmax,
-                         rec.bound_value, rec.bound_applicable, rec.gap)
-        m1 = merge_search_records(a, b)
-        m2 = merge_search_records(b, a)
-        assert m1 == m2
-        assert m1.count_enumerated == 156
-        assert m1.max_rho == rec.max_rho
-        assert m1.argmax == rec.argmax  # the losing shard's argmax drops out
-
-    def test_merge_rejects_mismatched(self, cache):
-        f = StarForest((2, 1))
-        rec = extremal_search(5, f, GraphClass.ALL, cache)
-        other = extremal_search(5, StarForest((1, 1)), GraphClass.ALL, cache)
-        with pytest.raises(ParamOutOfRange):
-            merge_search_records(rec, other)
 
 
 class TestEdgeBoundScan:
@@ -179,10 +153,10 @@ class TestPersistence:
         bad_fields = [json.dumps({**rec.to_json_dict(), key: value})
                       for key, value in (("n", 5.7), ("argmax", "Dhc"), ("bound_applicable", "no"),
                                          ("count_free", True), ("max_rho", False), ("argmax", [1]))]
-        for bad in ["{not json}"] + bad_forests + bad_fields:
+        for bad in [b"{not json}", b"\xff"] + [t.encode() for t in bad_forests + bad_fields]:
             write_records([rec], path)
-            with open(path, "a") as fh:
-                fh.write(bad + "\n")
+            with open(path, "ab") as fh:
+                fh.write(bad + b"\n")
             with pytest.raises(ParseError) as exc:
                 read_records(path)
             assert exc.value.line == 2, bad

@@ -50,8 +50,10 @@ class TestFullSpectrum:
         assert vals == pytest.approx((2.0, -1.0, -1.0), abs=TOL)
 
     def test_empty_graph_rejected(self):
-        with pytest.raises(EmptyGraph):
-            adjacency_spectrum(empty_graph(0))
+        for query in (adjacency_spectrum, spectral_radius, least_eigenvalue,
+                      signless_laplacian_radius, perron_vector):
+            with pytest.raises(EmptyGraph):
+                query(empty_graph(0))
 
     def test_result_metadata(self):
         res = adjacency_spectrum(cycle_graph(7))

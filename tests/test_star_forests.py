@@ -49,7 +49,7 @@ class TestStarForestType:
     def test_text_round_trip(self):
         f = StarForest((3, 1, 1))
         assert parse_star_forest(f.text()) == f
-        assert parse_star_forest(f.text(with_count=True)) == f
+        assert parse_star_forest(f"{f.k}:{f.text()}") == f
 
 
 class TestContainment:
