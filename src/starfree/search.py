@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .enumeration import EnumerationCache, GraphClass, check_ceiling, enumerate_graphs
 from .errors import DivisionByZeroK2, EmptyClass, NoRegularGraph, ParamOutOfRange, ParseError
 from .families import (
@@ -21,7 +23,7 @@ from .families import (
     signless_radius_bound,
 )
 from .graphs import Graph, edge_count, edges, from_edges, graph6_encode, is_triangle_free
-from .spectra import adjacency_spectrum, signless_laplacian_radius, spectral_radius
+from .spectra import adjacency_spectra, signless_laplacian_radius, spectral_radius
 from .star_forests import StarForest, avoids_star_forest, coarse_edge_bound, parse_star_forest
 
 RHO_TIE_TOL = 1e-9
@@ -194,8 +196,14 @@ def verify_join_regular_bound(max_n: int, max_k: int, max_d: int) -> SuiteResult
     joined to a (d-1)-regular graph must attain the ceiling to 1e-9; for
     d >= 2, deleting the first edge inside the regular part must leave the
     radius more than 1e-6 below it.  Parameters with no regular graph are
-    skipped; every other domain error propagates.
+    skipped; every other domain error propagates.  max_n < 2, max_k < 2 or
+    max_d < 1 leaves nothing to check and raises ParamOutOfRange.
     """
+    if max_n < 2 or max_k < 2 or max_d < 1:
+        raise ParamOutOfRange(
+            "lemma23 suite needs max_n >= 2, max_k >= 2 and max_d >= 1,"
+            f" got max_n={max_n}, max_k={max_k}, max_d={max_d}"
+        )
     failures = []
     checked = 0
     for k in range(2, max_k + 1):
@@ -222,20 +230,29 @@ def verify_join_regular_bound(max_n: int, max_k: int, max_d: int) -> SuiteResult
 
 
 def verify_bipartite_spectra(max_n: int, cache: EnumerationCache | None = None) -> SuiteResult:
-    """Over every bipartite graph of order <= max_n: the spectrum is symmetric
-    about 0, and a triangle-free graph has radius at most n/2 (both to 1e-9)."""
+    """Over every bipartite graph of order 1..max_n: the spectrum is symmetric
+    about 0, and a triangle-free graph has radius at most n/2 (both to 1e-9).
+
+    Each level's spectra come from one batched ``adjacency_spectra`` call.
+    max_n < 1 raises ParamOutOfRange: a suite that checks nothing proves
+    nothing.
+    """
+    if max_n < 1:
+        raise ParamOutOfRange(f"bipartite suite needs max_n >= 1, got {max_n}")
     check_ceiling(max_n, GraphClass.BIPARTITE)
     if cache is None:
         cache = EnumerationCache()
     failures = []
     checked = 0
     for n in range(1, max_n + 1):
-        for g in enumerate_graphs(n, GraphClass.BIPARTITE, cache):
-            checked += 1
-            vals = adjacency_spectrum(g).eigenvalues
-            if any(abs(lo + hi) > RHO_TIE_TOL for lo, hi in zip(reversed(vals), vals)):
+        level = list(enumerate_graphs(n, GraphClass.BIPARTITE, cache))
+        spectra = adjacency_spectra(level)
+        asymmetric = np.max(np.abs(spectra + spectra[:, ::-1]), axis=1) > RHO_TIE_TOL
+        checked += len(level)
+        for g, vals, skew in zip(level, spectra, asymmetric):
+            if skew:
                 failures.append(f"asymmetric spectrum at n={n} {graph6_encode(g)}")
-            if is_triangle_free(g) and spectral_radius(g) > n / 2 + RHO_TIE_TOL:
+            if is_triangle_free(g) and vals[0] > n / 2 + RHO_TIE_TOL:
                 failures.append(f"triangle-free radius above n/2 at n={n} {graph6_encode(g)}")
     return SuiteResult("bipartite", checked, tuple(failures))
 

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from starfree import search
 from starfree.enumeration import EnumerationCache
 from starfree.graphs import Graph, canonical_form, from_edges
 
@@ -37,6 +38,20 @@ def count_calls(monkeypatch, name: str, *modules) -> list:
     for module in modules:
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def doctor_spectra(monkeypatch, n: int, index: int, row) -> None:
+    """Make the bipartite suite see ``row`` as the spectrum of graph ``index``
+    of its order-n level; every other row stays real."""
+    real = search.adjacency_spectra
+
+    def doctored(graphs):
+        out = real(graphs)
+        if graphs[0].n == n:
+            out[index] = row
+        return out
+
+    monkeypatch.setattr(search, "adjacency_spectra", doctored)
 
 
 def path_graph(n: int) -> Graph:

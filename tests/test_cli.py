@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from conftest import count_calls
+from conftest import count_calls, doctor_spectra
 from starfree import cli, spectra
 from starfree.families import make_complete_bipartite
 from starfree.graphs import graph6_decode, graph6_encode
@@ -176,6 +176,24 @@ class TestSearchAndSuites:
         assert (code, out) == (0, "bipartite suite: 61 graphs, 0 failure(s)\n")
         code, out, _ = run(capsys, "--json", "verify", "bipartite", "--max-n", "6")
         assert (code, out) == (0, '{"checked": 61, "failures": [], "suite": "bipartite"}\n')
+
+    def test_bipartite_failures_exit_three(self, capsys, monkeypatch):
+        doctor_spectra(monkeypatch, 3, 1, (1.0, 0.0, -0.5))
+        code, out, _ = run(capsys, "verify", "bipartite", "--max-n", "3")
+        assert (code, out) == (3, "bipartite suite: 6 graphs, 1 failure(s)\n  asymmetric spectrum at n=3 BG\n")
+        monkeypatch.undo()
+        doctor_spectra(monkeypatch, 3, 2, (1.6, 0.0, -1.6))
+        code, out, _ = run(capsys, "--json", "verify", "bipartite", "--max-n", "3")
+        assert (code, out) == (3, '{"checked": 6, "failures": ["triangle-free radius above n/2 at n=3 BW"],'
+                                  ' "suite": "bipartite"}\n')
+
+    def test_empty_suites_exit_one(self, capsys):
+        for argv in (("verify", "bipartite", "--max-n", "0"), ("verify", "bipartite", "--max-n", "-3"),
+                     ("verify", "lemma23", "--max-k", "1"), ("verify", "lemma23", "--max-d", "0"),
+                     ("verify", "lemma23", "--max-n", "1")):
+            code, out, err = run(capsys, "--json", *argv)
+            assert (code, out) == (1, ""), argv
+            assert "ParamOutOfRange" in err
 
     def test_orders_past_the_ceilings_exit_one(self, capsys):
         for argv in (("search", "10", "2,2", "all"), ("verify", "bipartite", "--max-n", "13")):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from conftest import Unbuildable
+from conftest import Unbuildable, doctor_spectra
 from starfree.enumeration import GraphClass
 from starfree.errors import EmptyClass, OrderTooLarge, ParamOutOfRange, ParseError
 from starfree.families import (
@@ -19,6 +19,7 @@ from starfree.search import (
     read_records,
     verify_bipartite_spectra,
     verify_edge_bound,
+    verify_join_regular_bound,
     write_records,
 )
 from starfree.spectra import spectral_radius
@@ -166,3 +167,38 @@ class TestBipartiteSuite:
     def test_order_past_ceiling_rejected_before_enumerating(self):
         with pytest.raises(OrderTooLarge):
             verify_bipartite_spectra(GraphClass.BIPARTITE.ceiling + 1, Unbuildable())
+
+    def test_empty_suite_rejected(self):
+        for max_n in (0, -3):
+            with pytest.raises(ParamOutOfRange):
+                verify_bipartite_spectra(max_n, Unbuildable())
+
+    # the order-3 bipartite level is B? (empty), BG (one edge), BW (path)
+    def test_asymmetric_spectrum_fails(self, monkeypatch, cache):
+        doctor_spectra(monkeypatch, 3, 1, (1.0, 0.0, -0.5))
+        result = verify_bipartite_spectra(4, cache)
+        assert result.checked == 1 + 2 + 3 + 7
+        assert result.failures == ("asymmetric spectrum at n=3 BG",)
+
+    def test_triangle_free_radius_above_half_order_fails(self, monkeypatch, cache):
+        doctor_spectra(monkeypatch, 3, 2, (1.6, 0.0, -1.6))
+        result = verify_bipartite_spectra(4, cache)
+        assert result.failures == ("triangle-free radius above n/2 at n=3 BW",)
+
+    def test_failures_in_graph_order_asymmetry_first(self, monkeypatch, cache):
+        doctor_spectra(monkeypatch, 3, 2, (1.6, 0.0, -1.0))
+        result = verify_bipartite_spectra(3, cache)
+        assert result.failures == ("asymmetric spectrum at n=3 BW",
+                                   "triangle-free radius above n/2 at n=3 BW")
+
+
+class TestJoinRegularSuite:
+    def test_empty_suite_rejected(self):
+        for max_n, max_k, max_d in ((20, 1, 3), (20, 4, 0), (1, 4, 3), (-1, -1, -1)):
+            with pytest.raises(ParamOutOfRange):
+                verify_join_regular_bound(max_n, max_k, max_d)
+
+    def test_smallest_suite_checks_one_construction(self):
+        # n = 2, k = 2, d = 1 is K_2, the clique K_1 joined to one vertex
+        result = verify_join_regular_bound(2, 2, 1)
+        assert (result.checked, result.failures) == (1, ())

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import cycle_graph, path_graph, star_graph
+from starfree import spectra
 from starfree.enumeration import GraphClass, enumerate_graphs
 from starfree.errors import Disconnected, EmptyGraph
 from starfree.families import make_clique_join_matching, radius_bound_general
@@ -20,7 +21,9 @@ from starfree.graphs import (
     union,
 )
 from starfree.spectra import (
+    adjacency_matrices,
     adjacency_matrix,
+    adjacency_spectra,
     adjacency_spectrum,
     check_perron_floor,
     jacobi_eigensystem,
@@ -78,6 +81,95 @@ class TestFullSpectrum:
         vals, vecs, res = jacobi_eigensystem(m)
         assert res < 1e-10
         assert np.allclose(np.sort(vals), np.linalg.eigvalsh(m), atol=1e-10)
+
+
+def triangle_count(g) -> int:
+    """Triangles from the bitmask rows: each is seen once per edge."""
+    return sum(bin(g.adj[u] & g.adj[v]).count("1")
+               for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u] >> v & 1) // 3
+
+
+def batched_levels(cache):
+    for n in range(1, 8):
+        yield list(enumerate_graphs(n, GraphClass.ALL, cache))
+    for n in range(1, 10):
+        yield list(enumerate_graphs(n, GraphClass.BIPARTITE, cache))
+
+
+class TestBatchedSpectra:
+    """The blocked LAPACK path against the Jacobi oracle and exact power sums,
+    level by level over `all` <= 7 and `bipartite` <= 9 (1119 = 17 * 64 + 31
+    graphs at order 9, so block boundaries are crossed)."""
+
+    def test_matches_jacobi(self, cache):
+        for level in batched_levels(cache):
+            got = adjacency_spectra(level)
+            assert got.shape == (len(level), level[0].n)
+            for g, row in zip(level, got):
+                want = adjacency_spectrum(g).eigenvalues
+                assert np.max(np.abs(row - want)) <= TOL, g
+
+    def test_power_sums_are_exact_counts(self, cache):
+        for level in batched_levels(cache):
+            got = adjacency_spectra(level)
+            for g, row in zip(level, got):
+                assert abs(row.sum()) <= TOL, g
+                assert abs((row ** 2).sum() - 2 * edge_count(g)) <= TOL, g
+                assert abs((row ** 3).sum() - 6 * triangle_count(g)) <= TOL, g
+
+    def test_single_vertex_and_single_graph(self):
+        assert adjacency_spectra([empty_graph(1)]).tolist() == [[0.0]]
+        got = adjacency_spectra([cycle_graph(6)])
+        assert got.shape == (1, 6)
+        assert got[0] == pytest.approx((2, 1, 1, -1, -1, -2), abs=TOL)
+
+    def test_empty_and_mixed_inputs(self):
+        assert adjacency_spectra([]).shape == (0, 0)
+        with pytest.raises(EmptyGraph):
+            adjacency_spectra([empty_graph(0)])
+        with pytest.raises(ValueError):
+            adjacency_spectra([empty_graph(2), empty_graph(3)])
+
+    def test_matrices_match_edges(self):
+        rng = random.Random(17)
+        for n in (1, 7, 40, 64):
+            gs = [from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5])
+                  for _ in range(3)]
+            stacked = adjacency_matrices(gs)
+            assert stacked.shape == (3, n, n) and stacked.dtype == np.float64
+            for g, m in zip(gs, stacked):
+                want = np.zeros((n, n))
+                for u in range(n):
+                    for v in range(n):
+                        want[u, v] = g.adj[u] >> v & 1
+                assert np.array_equal(m, want)
+                assert np.array_equal(adjacency_matrix(g), want)
+
+    def test_uncertified_block_raises(self, monkeypatch):
+        real = np.linalg.eigh
+
+        def perturbed(m):
+            vals, vecs = real(m)
+            return vals, vecs + 1e-6
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(ArithmeticError):
+            adjacency_spectra([path_graph(4), cycle_graph(4)])
+
+    def test_blocks_bound_each_eigh_call(self, monkeypatch, cache):
+        sizes = []
+        real = np.linalg.eigh
+
+        def counted(m):
+            sizes.append(m.shape[0])
+            return real(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        level = list(enumerate_graphs(9, GraphClass.BIPARTITE, cache))
+        adjacency_spectra(level)
+        assert max(sizes) == spectra._BLOCK
+        assert sum(sizes) == len(level) == 1119
+        assert len(sizes) == -(-len(level) // spectra._BLOCK)
 
 
 class TestSpectralRadius:
