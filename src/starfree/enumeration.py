@@ -14,10 +14,11 @@ child's equitable partition.  Only the children that pass both get a full
 canonical search, which starts from that partition instead of refining again.
 
 Attachment masks are first reduced to one representative per orbit of the
-parent's automorphism generators, which prunes most of the redundant work
-on symmetric parents.  A code table that lives for one parent drops any
-repeat among that parent's children, so no table spans a whole level; the
-level is sorted by canonical graph6 code once it is complete.
+parent's full automorphism group.  By McKay's theorem (B. D. McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26 (1998), section 4)
+the accepted children of one parent are then pairwise non-isomorphic, and
+each class is accepted from one parent class only, so every accepted child
+is kept and the level is sorted by canonical graph6 code once complete.
 
 Bipartite graphs are closed under vertex deletion, so the bipartite classes
 are generated by the same augmentation restricted to bipartite parents and
@@ -87,11 +88,14 @@ class _LevelEntry:
 
 
 def _mask_orbit_reps(n_parent: int, generators, bipartite_masks) -> list[int]:
-    """One attachment mask per orbit of the parent automorphism subgroup."""
+    """One attachment mask per orbit of the parent's automorphism group.
+
+    An automorphism maps each component and its two colour classes onto a
+    component and its classes, so the bipartite masks are a union of orbits.
+    """
     masks = bipartite_masks if bipartite_masks is not None else range(1 << n_parent)
     if not generators:
         return list(masks)
-    allowed = set(masks)
     reps = []
     seen: set[int] = set()
     for mask in masks:
@@ -110,24 +114,21 @@ def _mask_orbit_reps(n_parent: int, generators, bipartite_masks) -> list[int]:
                     v = (rest & -rest).bit_length() - 1
                     rest &= rest - 1
                     img |= 1 << sigma[v]
-                if img not in seen and img in allowed:
+                if img not in seen:
                     seen.add(img)
                     stack.append(img)
     return reps
 
 
 def _bipartite_masks(g: Graph) -> list[int]:
-    """Masks whose addition keeps the graph bipartite.
+    """Masks whose addition keeps the bipartite graph g bipartite.
 
     The new vertex's neighbours must lie in one side of some bipartition;
     sides can be flipped per component independently, so a mask works iff its
     restriction to every component fits inside one of that component's two
     colour classes.
     """
-    two_col = is_bipartite(g)
-    if two_col is None:
-        return []
-    side0, side1 = two_col
+    side0, side1 = is_bipartite(g)
     comps = connected_components(g)
     pieces = [(c & side0, c & side1) for c in comps]
     out = []
@@ -152,7 +153,6 @@ def _extend(parents: list[_LevelEntry], bipartite_only: bool) -> list[_LevelEntr
         top = max(deg)
         at_top = sum(1 << v for v, d in enumerate(deg) if d == top)
         bip = _bipartite_masks(g) if bipartite_only else None
-        children: dict[str, _LevelEntry] = {}
         for mask in _mask_orbit_reps(g.n, entry.generators, bip):
             # degree pre-test: the child's largest old degree is top, plus one
             # if the new vertex is adjacent to a vertex of degree top
@@ -166,9 +166,7 @@ def _extend(parents: list[_LevelEntry], bipartite_only: bool) -> list[_LevelEntr
             orbit = _orbit_ids(n, cf.generators)
             if orbit[cf.labelling[-1]] != orbit[n - 1]:
                 continue
-            if cf.code not in children:
-                children[cf.code] = _LevelEntry(cf.graph, cf.code, cf.generators)
-        level.extend(children.values())
+            level.append(_LevelEntry(cf.graph, cf.code, cf.generators))
     level.sort(key=lambda e: e.code)
     return level
 

@@ -338,14 +338,14 @@ def _min_code_search(n: int, adj: tuple[int, ...], colors: list[int] | None = No
     automorphisms — twin swaps seeded up front plus whatever the search
     discovers when two orderings produce the same code.  Neither prune can
     skip a minimal-code ordering that no known automorphism reaches from an
-    explored one, so the generators returned generate the whole group.
-    ``colors`` may pass in ``_equitable_colors(n, adj)`` when the caller
-    already has it.  Returns (perm, generators): perm[i] is the vertex placed
-    at position i.
+    explored one, so the generators returned generate the whole group.  No
+    discovered generator is the identity or a repeat: a leaf that ties the
+    best is a different ordering, and an automorphism known when the search
+    left the best ordering's path fixes the common prefix, so the orbit prune
+    would have skipped the diverging candidate.  ``colors`` may pass in
+    ``_equitable_colors(n, adj)`` when the caller already has it.  Returns
+    (perm, generators): perm[i] is the vertex placed at position i.
     """
-    deg = [adj[v].bit_count() for v in range(n)]
-    if n <= 1:
-        return list(range(n)), []
     if colors is None:
         colors = _equitable_colors(n, adj)
     # positions are filled cell by cell in increasing colour id
@@ -356,7 +356,6 @@ def _min_code_search(n: int, adj: tuple[int, ...], colors: list[int] | None = No
     best_cols: list[int] | None = None
     best_perm: list[int] | None = None
     gens: list[tuple[int, ...]] = _twin_generators(n, adj)
-    gen_set = set(gens)
 
     def dfs(depth: int, keys: dict[int, int]) -> None:
         nonlocal best_cols, best_perm
@@ -368,21 +367,20 @@ def _min_code_search(n: int, adj: tuple[int, ...], colors: list[int] | None = No
                 sigma = [0] * n
                 for i in range(n):
                     sigma[best_perm[i]] = prefix[i]
-                tsigma = tuple(sigma)
-                if any(sigma[i] != i for i in range(n)) and tsigma not in gen_set:
-                    gens.append(tsigma)
-                    gen_set.add(tsigma)
+                gens.append(tuple(sigma))
             return
 
         want = position_color[depth]
-        cands = sorted((col, deg[v], v) for v, col in keys.items() if colors[v] == want)
+        cands = sorted((col, v) for v, col in keys.items() if colors[v] == want)
 
         tried: list[int] = []
         orbit = None
         gens_seen = 0
         tight = best_cols is not None and cols[:depth] == best_cols[:depth]
-        for col, _, v in cands:
-            if gens_seen != len(gens):
+        for col, v in cands:
+            # the first candidate is never pruned, so the stabiliser orbits
+            # are needed only from the second one on
+            if tried and gens_seen != len(gens):
                 gens_seen = len(gens)
                 orbit = _orbit_ids(n, [g for g in gens if all(g[p] == p for p in prefix)])
             if orbit is not None and any(orbit[u] == orbit[v] for u in tried):

@@ -15,16 +15,16 @@ list of same-order graphs: it stacks their matrices from the bitmask rows in
 one numpy step and calls ``numpy.linalg.eigh`` on blocks of at most
 ``_BLOCK`` matrices, and each block must pass the residual certificate
 max ||A V - V diag(lam)||_inf <= _RESIDUAL_TOL * max(1, ||lam||_inf) or
-ArithmeticError is raised.  ``adjacency_spectrum`` and its
-signless-Laplacian counterpart take one graph and run a self-contained
-cyclic Jacobi rotation eigensolver (dense, O(n^3) per sweep), certified by
-the off-diagonal norm plus an explicit eigenpair residual.  Jacobi is the
-oracle independent of LAPACK that the tests compare every LAPACK path
-against.  The second full-spectrum path is temporary: moving the one-graph
-spectra onto ``eigh`` as well raises the throughput of the benchmark's
-``scan`` and ``extremal`` workloads enough that their harness, which keeps
-every unit's results until the run ends, reads a peak RSS past its bound.
-Once the harness checks each unit as it ends, one path serves both.
+ArithmeticError is raised.  ``adjacency_spectrum`` takes one graph and
+runs a self-contained cyclic Jacobi rotation eigensolver (dense, O(n^3) per
+sweep), certified by the off-diagonal norm plus an explicit eigenpair
+residual.  Jacobi is the oracle independent of LAPACK that the tests compare
+every LAPACK path against.  The second full-spectrum path is temporary:
+moving the one-graph spectra onto ``eigh`` as well raises the throughput of
+the benchmark's ``scan`` and ``extremal`` workloads enough that their
+harness, which keeps every unit's results until the run ends, reads a peak
+RSS past its bound.  Once the harness checks each unit as it ends, one path
+serves both.
 """
 
 from __future__ import annotations
@@ -170,21 +170,12 @@ def jacobi_eigensystem(matrix: np.ndarray):
     return vals, vecs, residual
 
 
-def _spectrum(g: Graph, matrix_fn) -> SpectrumResult:
-    if g.n == 0:
-        raise EmptyGraph("spectrum of the order-0 graph is undefined")
-    vals, _, residual = jacobi_eigensystem(matrix_fn(g))
-    return SpectrumResult(tuple(float(x) for x in vals), "jacobi", residual)
-
-
 def adjacency_spectrum(g: Graph) -> SpectrumResult:
     """All adjacency eigenvalues, descending."""
-    return _spectrum(g, adjacency_matrix)
-
-
-def signless_laplacian_spectrum(g: Graph) -> SpectrumResult:
-    """All eigenvalues of D + A, descending."""
-    return _spectrum(g, signless_laplacian_matrix)
+    if g.n == 0:
+        raise EmptyGraph("spectrum of the order-0 graph is undefined")
+    vals, _, residual = jacobi_eigensystem(adjacency_matrix(g))
+    return SpectrumResult(tuple(float(x) for x in vals), "jacobi", residual)
 
 
 def adjacency_spectra(graphs: Sequence[Graph]) -> np.ndarray:

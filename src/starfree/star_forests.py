@@ -72,7 +72,9 @@ class StarForest:
 
 
 def parse_star_forest(text: str) -> StarForest:
-    """Parse ``d1,d2,...`` or ``k:d1,d2,...`` (degrees are sorted on parse)."""
+    """Parse ``d1,d2,...`` or ``k:d1,d2,...`` (degrees are sorted on parse).
+
+    Whitespace around a field is allowed; an empty field is a ParseError."""
     body = text.strip()
     if ":" in body:
         head, _, body = body.partition(":")
@@ -83,11 +85,9 @@ def parse_star_forest(text: str) -> StarForest:
     else:
         k = None
     try:
-        ds = tuple(int(p) for p in body.split(",") if p.strip() != "")
+        ds = tuple(int(p) for p in body.split(","))
     except ValueError:
         raise ParseError(f"bad star forest text {text!r}") from None
-    if not ds:
-        raise ParseError(f"empty star forest text {text!r}")
     if k is not None and k != len(ds):
         raise ParseError(f"star count {k} does not match {len(ds)} degrees in {text!r}")
     return StarForest(ds)

@@ -50,6 +50,12 @@ class TestConstructAndQueries:
         code, out, _ = run(capsys, "free", graph6_encode(path_graph(5)), "2,1")
         assert code == 0 and out.strip() == "false"
 
+    def test_empty_forest_field_exits_one(self, capsys):
+        for forest in ("2,,1", ",2", "2,", "1:2,"):
+            code, out, err = run(capsys, "free", "Dhc", forest)
+            assert (code, out) == (1, ""), forest
+            assert err == f"error: ParseError: bad star forest text {forest!r}\n"
+
     def test_scalar_queries(self, capsys):
         k29 = graph6_encode(make_complete_bipartite(2, 9))
         for command, key, table, value in (("rho", "rho", "4.24264068712", math.sqrt(18)),

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from conftest import Unbuildable, all_labeled_graphs
@@ -47,6 +49,35 @@ OEIS = {
 }
 
 
+#: SHA-256 of the newline-joined canonical codes of each level, orders 1 up:
+#: a level that gains, loses or reorders a graph, or a canonical labelling
+#: that picks another representative, changes its digest.
+LEVEL_DIGESTS = {
+    "all": (
+        "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+        "66f7cc5c004391e37949da741ea5ce5831ff34dd3c3a4e2bea3ccd225d7b2fb1",
+        "f78b1e961185bb637907c0c3de52876ceb3eb2fee4073e88b23fc8308cee8ad4",
+        "dab260d3a982994a03c9f8dd70c9abd8e47ba43abb270c1a9b8f982fb67c451e",
+        "ba6b2702ab1d647a7964e0bb2815cb74b90f811b2cbc759e36bc8ad37c4c4bfb",
+        "a3c0be81f949312e42271323fbf63d26ea9c17eb62bc28b00a1df42c41213ab8",
+        "cf43d74eea2e83dd129ee163ab4ba9c0f95efd52978be61a3b45e8d9557307a0",
+        "3e503c8c6bec0555cca2382d86a1bb2ede4f18a9e854b4caed44bad3415cacb5",
+    ),
+    "bipartite": (
+        "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+        "66f7cc5c004391e37949da741ea5ce5831ff34dd3c3a4e2bea3ccd225d7b2fb1",
+        "7fb81607637af87328b1671c81e46a1f74394761b20f3851a429b9ef7fd6212d",
+        "d0096592fd68c1dd04eb573a48cb0010b105ea4bb5e42ef9a13a7156f7fcbffe",
+        "cc2592d53a0f215983ea841e6d42056b0cdc489ec7d32663acf7663d5670f100",
+        "342cb1e9854b7e12ffd3e4568398a6c40258a31e4bf4b2f95a2053d8a8d833f7",
+        "031dca5cb24eaee507b3cb24c99005f3eac4d5fbaf62459002585f405d109cc4",
+        "02d3d98f9fb44484a8d4a4bd800671d8f436ed9a5b385ed3ccf89050c4bdec1b",
+        "103d4529824e1f0bc494a8ac1a11f1dce45a53bf8a4b72839a31ab5dea29c58f",
+        "993cc23a801a8902b50ab0817465b0f60b3f34528ba39885a975d14a6bbbb468",
+    ),
+}
+
+
 def count(n: int, cls: GraphClass, cache: EnumerationCache) -> int:
     return sum(1 for _ in enumerate_graphs(n, cls, cache))
 
@@ -91,6 +122,12 @@ class TestCounts:
                 codes = [entry.code for entry in level]
                 assert codes == [graph6_encode(entry.graph) for entry in level]
                 assert all(a < b for a, b in zip(codes, codes[1:])), (base, n)
+
+    def test_levels_pinned(self, cache):
+        for base, digests in LEVEL_DIGESTS.items():
+            for n, want in enumerate(digests, start=1):
+                codes = "\n".join(entry.code for entry in cache.level(base, n))
+                assert hashlib.sha256(codes.encode()).hexdigest() == want, (base, n)
 
     def test_class_predicates_respected(self, cache):
         for g in enumerate_graphs(6, GraphClass.CONNECTED_BIPARTITE, cache):

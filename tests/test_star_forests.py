@@ -40,9 +40,11 @@ class TestStarForestType:
         assert parse_star_forest("2,1,2").degrees == (2, 2, 1)
         assert parse_star_forest("3:2,2,1").degrees == (2, 2, 1)
         assert parse_star_forest("4").degrees == (4,)
+        assert parse_star_forest(" 2 , 1 ").degrees == (2, 1)
+        assert parse_star_forest("2: 2,\t1").degrees == (2, 1)
 
     def test_parse_errors(self):
-        for bad in ("", "a,b", "2:1", "x:1,1"):
+        for bad in ("", "a,b", "2:1", "x:1,1", "2,,1", ",2", "2,", "1:2,", " , ", "2:"):
             with pytest.raises(ParseError):
                 parse_star_forest(bad)
 
