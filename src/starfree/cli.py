@@ -30,7 +30,7 @@ import sys
 from .enumeration import EnumerationCache, parse_graph_class
 from .errors import StarfreeError
 from .families import (
-    BOUND_NAMES,
+    BOUND_PARAMS,
     THRESHOLD_KINDS,
     evaluate_bound,
     make_clique_join_matching,
@@ -143,9 +143,8 @@ def _cmd_free(args) -> int:
 
 def _cmd_bound(args) -> int:
     name = args.family
-    needs = "n k d_k" if name in ("t17", "conj32") else "n k"
-    if len(args.params) != len(needs.split()):
-        args.parser.error(f"bound {name} needs {needs}")
+    if len(args.params) != len(BOUND_PARAMS[name]):
+        args.parser.error(f"bound {name} needs {' '.join(BOUND_PARAMS[name])}")
     rep = evaluate_bound(name, *args.params)
     lines = [f"{rep.name} {rep.params} = {_sig(rep.value)}"]
     if rep.attained_by:
@@ -289,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_free)
 
     p = sub.add_parser("bound", help="evaluate a closed-form bound family")
-    p.add_argument("family", choices=list(BOUND_NAMES))
+    p.add_argument("family", choices=list(BOUND_PARAMS))
     p.add_argument("params", type=int, nargs="+", help="t17/conj32: n k d_k; t18/c19: n k")
     p.set_defaults(fn=_cmd_bound, parser=p)
 

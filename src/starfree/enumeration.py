@@ -110,6 +110,7 @@ def _mask_orbit_reps(n_parent: int, generators, bipartite_masks) -> list[int]:
             for sigma in generators:
                 img = 0
                 rest = cur
+                # hand-rolled: through graphs._bits, level 7's orbits took 1.1-1.7x as long (2-vCPU VM)
                 while rest:
                     v = (rest & -rest).bit_length() - 1
                     rest &= rest - 1

@@ -30,7 +30,6 @@ from .graphs import (
     MAX_ORDER,
     Graph,
     complete_graph,
-    degrees,
     empty_graph,
     from_edges,
     graph6_encode,
@@ -41,7 +40,13 @@ from .star_forests import StarForest
 
 THRESHOLD_KINDS = ("thm_1_7", "thm_3_1", "f_value", "thm_1_8_and_cor_1_9")
 
-BOUND_NAMES = ("t17", "t18", "c19", "conj32")
+#: Each bound family's parameters, in the order evaluate_bound takes them.
+BOUND_PARAMS = {
+    "t17": ("n", "k", "d_k"),
+    "t18": ("n", "k"),
+    "c19": ("n", "k"),
+    "conj32": ("n", "k", "d_k"),
+}
 
 
 @dataclass(frozen=True)
@@ -123,6 +128,9 @@ def circulant_regular(m: int, r: int) -> Graph:
 
     Connection set {+-1, ..., +-(r//2)}, plus the antipodal offset m/2 when
     r is odd (which forces m even).  Raises when no r-regular graph exists.
+    Otherwise every degree is r: as r < m, the offsets 1..r//2 are distinct
+    non-zero residues, no two of them sum to m, and m/2 exceeds r//2, so
+    each vertex gets r distinct neighbours.
     """
     if r < 0 or m < 0:
         raise ParamOutOfRange(f"bad circulant parameters m={m}, r={r}")
@@ -138,10 +146,7 @@ def circulant_regular(m: int, r: int) -> Graph:
         half = m // 2
         for v in range(half):
             edge_list.append((v, v + half))
-    g = from_edges(m, edge_list)
-    if any(d != r for d in degrees(g)):
-        raise NoRegularGraph(f"circulant connection set failed to be {r}-regular on {m} vertices")
-    return g
+    return from_edges(m, edge_list)
 
 
 def make_clique_join_regular(n: int, k: int, d: int) -> Graph:
@@ -237,15 +242,21 @@ def order_threshold(kind: str, forest: StarForest) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def evaluate_bound(name: str, n: int, k: int, d_k: int | None = None) -> BoundReport:
+def evaluate_bound(name: str, *params: int) -> BoundReport:
     """Evaluate one of the named bound families into a BoundReport.
 
-    t17: general radius ceiling (needs d_k); t18: bipartite radius ceiling;
-    c19: least-eigenvalue floor; conj32: signless-Laplacian ceiling (needs d_k).
+    t17: general radius ceiling; t18: bipartite radius ceiling; c19:
+    least-eigenvalue floor; conj32: signless-Laplacian ceiling.  ``params``
+    are the family's BOUND_PARAMS, in order; any other count raises.
     """
+    if name not in BOUND_PARAMS:
+        raise ParamOutOfRange(f"unknown bound name {name!r}; choose from {tuple(BOUND_PARAMS)}")
+    if len(params) != len(BOUND_PARAMS[name]):
+        raise ParamOutOfRange(f"bound {name!r} needs {' '.join(BOUND_PARAMS[name])}, "
+                              f"got {len(params)} parameter(s)")
+    named = dict(zip(BOUND_PARAMS[name], params))
     if name in ("t17", "conj32"):
-        if d_k is None:
-            raise ParamOutOfRange(f"bound {name!r} needs d_k")
+        n, k, d_k = params
         value = radius_bound_general(n, k, d_k) if name == "t17" else signless_radius_bound(n, k, d_k)
         attained = None
         if n <= MAX_ORDER:
@@ -253,13 +264,12 @@ def evaluate_bound(name: str, n: int, k: int, d_k: int | None = None) -> BoundRe
                 attained = graph6_encode(make_clique_join_regular(n, k, d_k))
             except (NoRegularGraph, ParamOutOfRange):
                 pass
-        return BoundReport(name, {"n": n, "k": k, "d_k": d_k}, value, attained)
-    if name in ("t18", "c19"):
-        value = radius_bound_bipartite(n, k) if name == "t18" else least_eigenvalue_bound(n, k)
-        attained = (graph6_encode(make_complete_bipartite(k - 1, n - k + 1))
-                    if MAX_ORDER >= n > k - 1 >= 1 else None)
-        return BoundReport(name, {"n": n, "k": k}, value, attained)
-    raise ParamOutOfRange(f"unknown bound name {name!r}; choose from {BOUND_NAMES}")
+        return BoundReport(name, named, value, attained)
+    n, k = params
+    value = radius_bound_bipartite(n, k) if name == "t18" else least_eigenvalue_bound(n, k)
+    attained = (graph6_encode(make_complete_bipartite(k - 1, n - k + 1))
+                if MAX_ORDER >= n > k - 1 >= 1 else None)
+    return BoundReport(name, named, value, attained)
 
 
 def threshold_report(kind: str, forest: StarForest) -> BoundReport:

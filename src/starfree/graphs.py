@@ -5,12 +5,14 @@ neighbourhood intersection, degree counting and subset tests single integer
 operations.  All values are immutable; every operation returns a new Graph.
 
 Also provides the graph6 text codec used for all graph I/O, and canonical
-labelling: the canonical graph minimises the column-major upper-triangle
-bit string over the vertex orderings compatible with the equitable degree
-refinement (found by backtracking with automorphism-orbit pruning).  graph6
-packs exactly that bit string, so the canonical graph's graph6 string is the
-isomorphism code: two graphs have equal codes iff they are isomorphic, and
-at a fixed order sorting codes sorts the bit strings.
+labelling.  The graph6 bit string is the rows read column by column: column
+j (j = 1..n-1) is row j's low j bits, vertex 0 first, so bit i of column j
+is the edge {i, j}.  The canonical graph minimises exactly these columns
+(``cols`` in the search) over the vertex orderings compatible with the
+equitable degree refinement (found by backtracking with automorphism-orbit
+pruning), so its graph6 string is the isomorphism code: two graphs have
+equal codes iff they are isomorphic, and at a fixed order sorting codes
+sorts the bit strings.
 """
 
 from __future__ import annotations
@@ -129,6 +131,7 @@ def relabel(g: Graph, perm: tuple[int, ...]) -> Graph:
     for v in range(g.n):
         row = 0
         old = g.adj[v]
+        # hand-rolled: through _bits, relabelling level 8 took 1.05-1.6x as long (2-vCPU VM)
         while old:
             u = (old & -old).bit_length() - 1
             row |= 1 << perm[u]
@@ -154,15 +157,16 @@ def edge_count(g: Graph) -> int:
     return sum(row.bit_count() for row in g.adj) // 2
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def edges(g: Graph) -> list[tuple[int, int]]:
-    out = []
-    for v in range(g.n):
-        row = g.adj[v] >> (v + 1) << (v + 1)
-        while row:
-            u = (row & -row).bit_length() - 1
-            out.append((v, u))
-            row &= row - 1
-    return out
+    return [(v, u) for v in range(g.n) for u in _bits(g.adj[v] >> (v + 1) << (v + 1))]
 
 
 def _component(g: Graph, start: int) -> int:
@@ -170,9 +174,7 @@ def _component(g: Graph, start: int) -> int:
     seen = frontier = start
     while frontier:
         nxt = 0
-        while frontier:
-            v = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
+        for v in _bits(frontier):
             nxt |= g.adj[v]
         frontier = nxt & ~seen
         seen |= frontier
@@ -211,11 +213,8 @@ def is_bipartite(g: Graph) -> Optional[tuple[int, int]]:
         queue = [start]
         while queue:
             v = queue.pop()
-            row = g.adj[v]
             want = 1 - colour[v]
-            while row:
-                u = (row & -row).bit_length() - 1
-                row &= row - 1
+            for u in _bits(g.adj[v]):
                 if colour[u] == -1:
                     colour[u] = want
                     side[want] |= 1 << u
@@ -226,14 +225,7 @@ def is_bipartite(g: Graph) -> Optional[tuple[int, int]]:
 
 
 def is_triangle_free(g: Graph) -> bool:
-    for v in range(g.n):
-        row = g.adj[v] >> (v + 1) << (v + 1)
-        while row:
-            u = (row & -row).bit_length() - 1
-            row &= row - 1
-            if g.adj[v] & g.adj[u]:
-                return False
-    return True
+    return not any(g.adj[v] & g.adj[u] for v, u in edges(g))
 
 
 def check_invariants(g: Graph) -> None:
@@ -243,10 +235,7 @@ def check_invariants(g: Graph) -> None:
     for v in range(g.n):
         assert g.adj[v] & ~full == 0, f"vertex {v} has neighbours >= n"
         assert g.adj[v] >> v & 1 == 0, f"loop at {v}"
-        row = g.adj[v]
-        while row:
-            u = (row & -row).bit_length() - 1
-            row &= row - 1
+        for u in _bits(g.adj[v]):
             assert g.adj[u] >> v & 1, f"asymmetric pair ({v},{u})"
 
 
@@ -293,6 +282,7 @@ def _equitable_colors(n: int, adj: tuple[int, ...]) -> list[int]:
         for v in range(n):
             row = adj[v]
             neigh = []
+            # hand-rolled: through _bits, refining level 8 took 1.3-1.7x as long (2-vCPU VM)
             while row:
                 u = (row & -row).bit_length() - 1
                 row &= row - 1
@@ -433,11 +423,10 @@ def canonical_form(g: Graph, colors: list[int] | None = None) -> CanonicalForm:
 # ---------------------------------------------------------------------------
 
 
-def _triangle_bits(g: Graph) -> Iterator[int]:
-    """The column-major upper triangle, in graph6 bit order."""
-    for j in range(1, g.n):
-        for i in range(j):
-            yield g.adj[i] >> j & 1
+# The codec holds the graph6 bit string in one int, first bit lowest: column j
+# is then row j's low j bits, shifted to bit j(j-1)/2.  graph6 writes each
+# 6-bit byte first bit highest, so each byte is bit-reversed by this table.
+_REVERSED6 = [int(f"{b:06b}"[::-1], 2) for b in range(64)]
 
 
 def _graph6_head(n: int) -> str:
@@ -448,20 +437,11 @@ def _graph6_head(n: int) -> str:
 
 def graph6_encode(g: Graph) -> str:
     """Encode in graph6 text form (one line, no trailing newline)."""
-    out = [_graph6_head(g.n)]
-    acc = 0
-    filled = 0
-    for bit in _triangle_bits(g):
-        acc = acc << 1 | bit
-        filled += 1
-        if filled == 6:
-            out.append(chr(63 + acc))
-            acc = 0
-            filled = 0
-    if filled:
-        acc <<= 6 - filled
-        out.append(chr(63 + acc))
-    return "".join(out)
+    word = off = 0
+    for j in range(1, g.n):
+        word |= (g.adj[j] & ((1 << j) - 1)) << off
+        off += j
+    return _graph6_head(g.n) + "".join(chr(63 + _REVERSED6[word >> s & 63]) for s in range(0, off, 6))
 
 
 def graph6_decode(line: str) -> Graph:
@@ -512,16 +492,13 @@ def graph6_decode(line: str) -> Graph:
         v = ord(c) - 63
         if not 0 <= v <= 63:
             raise ParseError(f"invalid graph6 byte {c!r}", offset=pos + off)
-        word = word << 6 | v
-    pad = 6 * need - total
-    if word & ((1 << pad) - 1):
+        word |= _REVERSED6[v] << 6 * off
+    if word >> total:
         raise ParseError("nonzero padding bits in graph6 data", offset=len(s) - 1)
     adj = [0] * n
-    bit = 1 << (6 * need)
-    for j in range(1, n):  # the order of _triangle_bits
-        for i in range(j):
-            bit >>= 1
-            if word & bit:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    for j in range(1, n):
+        low = word >> j * (j - 1) // 2 & ((1 << j) - 1)
+        adj[j] |= low
+        for i in _bits(low):
+            adj[i] |= 1 << j
     return Graph(n, tuple(adj))

@@ -13,18 +13,17 @@ Perron vector also carries an explicit residual certificate.
 Full spectra have two paths for now.  ``adjacency_spectra`` takes a whole
 list of same-order graphs: it stacks their matrices from the bitmask rows in
 one numpy step and calls ``numpy.linalg.eigh`` on blocks of at most
-``_BLOCK`` matrices, and each block must pass the residual certificate
-max ||A V - V diag(lam)||_inf <= _RESIDUAL_TOL * max(1, ||lam||_inf) or
-ArithmeticError is raised.  ``adjacency_spectrum`` takes one graph and
-runs a self-contained cyclic Jacobi rotation eigensolver (dense, O(n^3) per
-sweep), certified by the off-diagonal norm plus an explicit eigenpair
-residual.  Jacobi is the oracle independent of LAPACK that the tests compare
-every LAPACK path against.  The second full-spectrum path is temporary:
-moving the one-graph spectra onto ``eigh`` as well raises the throughput of
-the benchmark's ``scan`` and ``extremal`` workloads enough that their
-harness, which keeps every unit's results until the run ends, reads a peak
-RSS past its bound.  Once the harness checks each unit as it ends, one path
-serves both.
+``_BLOCK`` matrices.  ``adjacency_spectrum`` takes one graph and runs a
+self-contained cyclic Jacobi rotation eigensolver (dense, O(n^3) per sweep).
+Both, and the Perron vector, must pass one residual certificate,
+max ||A V - V diag(lam)||_inf <= _RESIDUAL_TOL * max(1, ||lam||_inf), or
+ArithmeticError is raised.  Jacobi is the oracle independent of LAPACK that
+the tests compare every LAPACK path against.  The second full-spectrum path is
+temporary: moving the one-graph spectra onto ``eigh`` as well raises the
+throughput of the benchmark's ``scan`` and ``extremal`` workloads enough
+that their harness, which keeps every unit's results until the run ends,
+reads a peak RSS past its bound.  Once the harness checks each unit as it
+ends, one path serves both.
 """
 
 from __future__ import annotations
@@ -170,11 +169,28 @@ def jacobi_eigensystem(matrix: np.ndarray):
     return vals, vecs, residual
 
 
+def _certified_residual(a: np.ndarray, vals: np.ndarray, vecs: np.ndarray, what: str) -> float:
+    """max ||A V - V diag(lam)||_inf over eigenpairs stacked like ``eigh``'s.
+
+    Raises ArithmeticError when it exceeds _RESIDUAL_TOL * max(1, max |lam|).
+    """
+    residual = float(np.max(np.abs(a @ vecs - vecs * vals[..., None, :])))
+    if residual > _RESIDUAL_TOL * max(1.0, float(np.max(np.abs(vals)))):
+        raise ArithmeticError(f"{what} residual {residual!r} exceeds its certificate")
+    return residual
+
+
 def adjacency_spectrum(g: Graph) -> SpectrumResult:
-    """All adjacency eigenvalues, descending."""
+    """All adjacency eigenvalues, descending.
+
+    Raises ArithmeticError unless the Jacobi eigenpairs pass the same
+    residual certificate as ``adjacency_spectra``.
+    """
     if g.n == 0:
         raise EmptyGraph("spectrum of the order-0 graph is undefined")
-    vals, _, residual = jacobi_eigensystem(adjacency_matrix(g))
+    a = adjacency_matrix(g)
+    vals, vecs, _ = jacobi_eigensystem(a)
+    residual = _certified_residual(a, vals, vecs, "spectrum")
     return SpectrumResult(tuple(float(x) for x in vals), "jacobi", residual)
 
 
@@ -183,8 +199,7 @@ def adjacency_spectra(graphs: Sequence[Graph]) -> np.ndarray:
 
     Returns an (N, n) array; graphs of mixed orders raise ValueError.  LAPACK ``eigh`` runs on blocks of at most
     _BLOCK matrices, and each block is certified by its largest eigenpair
-    residual: ArithmeticError is raised if max ||A V - V diag(lam)||_inf
-    exceeds _RESIDUAL_TOL * max(1, max |lam|).
+    residual (``_certified_residual``).
     """
     if graphs and graphs[0].n == 0:
         raise EmptyGraph("spectrum of the order-0 graph is undefined")
@@ -192,9 +207,7 @@ def adjacency_spectra(graphs: Sequence[Graph]) -> np.ndarray:
     for start in range(0, len(graphs), _BLOCK):
         a = adjacency_matrices(graphs[start:start + _BLOCK])
         vals, vecs = np.linalg.eigh(a)
-        residual = float(np.max(np.abs(a @ vecs - vecs * vals[:, None, :])))
-        if residual > _RESIDUAL_TOL * max(1.0, float(np.max(np.abs(vals)))):
-            raise ArithmeticError(f"spectrum residual {residual!r} exceeds its certificate")
+        _certified_residual(a, vals, vecs, "spectrum")
         blocks.append(vals[:, ::-1])
     return np.concatenate(blocks) if blocks else np.empty((0, 0))
 
@@ -246,9 +259,7 @@ def perron_vector(g: Graph) -> PerronData:
     rho = float(vals[-1])
     vec = np.abs(vecs[:, -1])
     vec /= vec.max()
-    residual = float(np.max(np.abs(a @ vec - rho * vec)))
-    if residual > _RESIDUAL_TOL * max(1.0, rho):
-        raise ArithmeticError(f"Perron vector residual {residual!r} exceeds its certificate")
+    _certified_residual(a, vals[-1:], vec[:, None], "Perron vector")
     return PerronData(rho, tuple(float(v) for v in vec), float(vec.min()))
 
 

@@ -34,7 +34,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ParamOutOfRange, ParseError
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 MAX_STARS = 8  # center-subset enumeration is exponential in the star count
 
@@ -185,18 +185,8 @@ def contains_star_forest_oracle(g: Graph, forest: StarForest) -> bool:
         for c in range(g.n):
             if used >> c & 1:
                 continue
-            avail = g.adj[c] & ~used & ~(1 << c)
-            free = []
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                avail &= avail - 1
-                free.append(v)
-            if len(free) < d[i]:
-                continue
-            for leaves in itertools.combinations(free, d[i]):
-                taken = used | (1 << c)
-                for v in leaves:
-                    taken |= 1 << v
+            for leaves in itertools.combinations(_bits(g.adj[c] & ~used & ~(1 << c)), d[i]):
+                taken = used | 1 << c | sum(1 << v for v in leaves)
                 if place(i + 1, taken):
                     return True
         return False

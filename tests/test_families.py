@@ -97,9 +97,15 @@ class TestConstructions:
             make_clique_join_regular(10, 1, 2)
 
     def test_circulant_degrees(self):
-        for m, r in [(8, 2), (6, 1), (9, 4), (10, 5), (7, 6), (5, 0)]:
-            g = circulant_regular(m, r)
-            assert set(degrees(g)) == {r} if m else True
+        # r-regular exactly when r < m and m * r is even; the empty graph
+        # (m = r = 0) is vacuously 0-regular
+        for m in range(65):
+            for r in range(65):
+                if (r < m or r == 0) and m * r % 2 == 0:
+                    assert all(d == r for d in degrees(circulant_regular(m, r))), (m, r)
+                else:
+                    with pytest.raises(NoRegularGraph):
+                        circulant_regular(m, r)
 
     def test_matching_join_equals_regular_join_when_even(self):
         for n, k in [(7, 2), (9, 4), (12, 3), (11, 2)]:
@@ -309,6 +315,14 @@ class TestBoundReports:
         assert evaluate_bound("t18", 64, 3).attained_by is not None
         for args in (("t17", 1000000, 3, 2), ("t18", 100, 3), ("c19", 66, 3), ("conj32", 70, 3, 2)):
             assert evaluate_bound(*args).attained_by is None, args
+
+    def test_arity_checked(self):
+        for args in (("t18", 11, 3, 2), ("c19", 11, 3, 2), ("t17", 10, 3), ("conj32", 10, 3),
+                     ("t17", 10, 3, 2, 1), ("t18", 11)):
+            with pytest.raises(ParamOutOfRange):
+                evaluate_bound(*args)
+        with pytest.raises(ParamOutOfRange):
+            evaluate_bound("nosuch", 11, 3)
 
     def test_conj32_report(self):
         rep = evaluate_bound("conj32", 20, 3, 2)

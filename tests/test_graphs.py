@@ -13,6 +13,7 @@ from starfree.graphs import (
     complete_graph,
     degrees,
     edge_count,
+    edges,
     empty_graph,
     from_edges,
     graph6_decode,
@@ -270,7 +271,41 @@ class TestGeneratorCompleteness:
             assert canonical_form(h, colors=colors) == cf
 
 
+def reference_graph6(g):
+    """graph6 by its definition, one bit at a time: the order field, then the
+    upper triangle column by column (bit i of column j is the edge {i, j}),
+    zero-padded to whole 6-bit bytes."""
+    if g.n <= 62:
+        out = [chr(63 + g.n)]
+    else:
+        out = ["~"] + [chr(63 + (g.n >> s & 63)) for s in (12, 6, 0)]
+    acc = filled = 0
+    for j in range(1, g.n):
+        for i in range(j):
+            acc = acc << 1 | g.adj[i] >> j & 1
+            filled += 1
+            if filled == 6:
+                out.append(chr(63 + acc))
+                acc = filled = 0
+    if filled:
+        out.append(chr(63 + (acc << 6 - filled)))
+    return "".join(out)
+
+
+def random_graph(rng, n, p):
+    return from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+
+
 class TestGraph6:
+    def test_matches_reference_at_every_order(self):
+        # orders 63 and 64 take the long order field; 62 is the last short one
+        rng = random.Random(12)
+        for n in range(65):
+            for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+                g = random_graph(rng, n, p)
+                assert graph6_encode(g) == reference_graph6(g), (n, p)
+                assert graph6_decode(graph6_encode(g)) == g, (n, p)
+
     def test_single_vertex(self):
         assert graph6_encode(empty_graph(1)) == "@"
         assert graph6_decode("@") == empty_graph(1)
@@ -281,6 +316,7 @@ class TestGraph6:
     def test_round_trip_small(self):
         for n in range(6):
             for g in all_labeled_graphs(n):
+                assert graph6_encode(g) == reference_graph6(g), g
                 assert graph6_decode(graph6_encode(g)) == g
 
     def test_round_trip_large_orders(self):
@@ -311,7 +347,7 @@ class TestGraph6:
         # one spelling per graph: "Bw" is the only accepted graph6 of K_3, so
         # nonzero padding bits and a long order field for n <= 62 are errors
         assert graph6_decode("Bw") == complete_graph(3)
-        for line, offset in (("Bx", 1), ("B~", 1), ("~??Bw", 0), ("~~?????Bw", 0), ("DQp", 2),
+        for line, offset in (("Bx", 1), ("B{", 1), ("B~", 1), ("~??Bw", 0), ("~~?????Bw", 0), ("DQp", 2),
                              ("~?", 2), ("~~???", 5), (" ", 0)):
             with pytest.raises(ParseError) as exc:
                 graph6_decode(line)
@@ -324,12 +360,10 @@ class TestGraph6:
     def test_matches_networkx(self):
         nx = pytest.importorskip("networkx")
         rng = random.Random(5)
-        for _ in range(100):
-            n = rng.randint(1, 12)
-            es = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
-            g = from_edges(n, es)
+        for n in [*range(65), *(rng.randint(1, 12) for _ in range(100))]:
+            g = random_graph(rng, n, 0.4)
             nxg = nx.Graph()
             nxg.add_nodes_from(range(n))
-            nxg.add_edges_from(es)
+            nxg.add_edges_from(edges(g))
             want = nx.to_graph6_bytes(nxg, header=False).decode().strip()
             assert graph6_encode(g) == want

@@ -63,6 +63,13 @@ class TestFullSpectrum:
         assert len(res.eigenvalues) == 7
         assert res.max_residual <= 1e-12
 
+    def test_unconverged_jacobi_raises(self, monkeypatch):
+        # no sweeps: the eigenpairs are A's diagonal and the identity, and
+        # the residual certificate refuses them
+        monkeypatch.setattr(spectra, "_MAX_SWEEPS", 0)
+        with pytest.raises(ArithmeticError):
+            adjacency_spectrum(cycle_graph(5))
+
     def test_against_numpy_on_random_graphs(self):
         rng = random.Random(13)
         for _ in range(40):
