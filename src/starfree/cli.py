@@ -289,7 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="evaluate a closed-form bound family")
     p.add_argument("family", choices=list(BOUND_PARAMS))
-    p.add_argument("params", type=int, nargs="+", help="t17/conj32: n k d_k; t18/c19: n k")
+    # families that share a parameter tuple share one entry, in table order
+    sharing: dict[tuple[str, ...], list[str]] = {}
+    for name, params in BOUND_PARAMS.items():
+        sharing.setdefault(params, []).append(name)
+    p.add_argument("params", type=int, nargs="+", help="; ".join(
+        f"{'/'.join(names)}: {' '.join(params)}" for params, names in sharing.items()))
     p.set_defaults(fn=_cmd_bound, parser=p)
 
     p = sub.add_parser("threshold", help="exact rational order threshold")

@@ -11,10 +11,20 @@ partition, and a higher colour id never means a lower degree: the new
 vertex must have maximum degree in the child (integer work on the parent's
 degrees, no new graph), and it must lie in the highest colour cell of the
 child's equitable partition.  Only the children that pass both get a full
-canonical search, which starts from that partition instead of refining again.
+canonical search, which starts from that partition instead of refining again,
+and is skipped when the partition is discrete (``graphs.canonical_form``).
+
+The children that pass the degree pre-test are collected across parents
+into blocks of at most ``_BLOCK``, which bounds the working memory.  Each
+block's adjacency matrices are unpacked in one numpy step, refined in one
+batched call (``graphs._refine``, the only refinement), and top-cell tested
+by one vectorised comparison; ``Graph`` objects are built only for the
+children that pass.  Blocks change no result: the level is sorted by code.
 
 Attachment masks are first reduced to one representative per orbit of the
-parent's full automorphism group.  By McKay's theorem (B. D. McKay,
+parent's full automorphism group, over numpy arrays of all 2^n masks: each
+generator gets a table of mask images, and min-label propagation names each
+orbit by its smallest mask.  By McKay's theorem (B. D. McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 26 (1998), section 4)
 the accepted children of one parent are then pairwise non-isomorphic, and
 each class is accepted from one parent class only, so every accepted child
@@ -32,12 +42,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
+import numpy as np
+
 from .errors import OrderTooLarge, ParamOutOfRange
 from .graphs import (
     Graph,
-    _equitable_colors,
     _orbit_ids,
-    add_vertex,
+    _refine,
+    adjacency_bits,
     canonical_form,
     connected_components,
     degrees,
@@ -50,6 +62,11 @@ from .graphs import (
 #: a little longer.
 ALL_CEILING = 9
 BIPARTITE_CEILING = 12
+
+# _extend refines and pre-tests at most this many children at a time, which
+# bounds its working memory; with blocks of 64 to 4096 the all-8 and
+# bipartite-10 levels built in the same time within noise (2-vCPU VM)
+_BLOCK = 256
 
 
 class GraphClass(str, Enum):
@@ -87,42 +104,36 @@ class _LevelEntry:
     generators: tuple[tuple[int, ...], ...]
 
 
-def _mask_orbit_reps(n_parent: int, generators, bipartite_masks) -> list[int]:
-    """One attachment mask per orbit of the parent's automorphism group.
+def _mask_orbit_reps(bits: np.ndarray, generators, allowed: np.ndarray | None) -> np.ndarray:
+    """One attachment mask per orbit of the parent's automorphism group: the
+    orbit's smallest, in increasing order.
 
-    An automorphism maps each component and its two colour classes onto a
-    component and its classes, so the bipartite masks are a union of orbits.
+    ``bits[mask]`` is the 0/1 row of mask's bits, so ``bits @ (1 << sigma)``
+    is the table of every mask's image under sigma.  Each mask holds a label
+    in its orbit, at most itself, and takes the least label among its images
+    (then its label's label) until nothing moves.  No label then exceeds the
+    labels of its images, so labels are constant along every generator's
+    cycles, hence on each orbit: the orbit's smallest mask.  An automorphism
+    maps each component and its two colour classes onto a component and its
+    classes, so the bipartite masks (``allowed``) are a union of orbits.
     """
-    masks = bipartite_masks if bipartite_masks is not None else range(1 << n_parent)
-    if not generators:
-        return list(masks)
-    reps = []
-    seen: set[int] = set()
-    for mask in masks:
-        if mask in seen:
-            continue
-        reps.append(mask)
-        # closure of the orbit under the generators
-        stack = [mask]
-        seen.add(mask)
-        while stack:
-            cur = stack.pop()
-            for sigma in generators:
-                img = 0
-                rest = cur
-                # hand-rolled: through graphs._bits, level 7's orbits took 1.1-1.7x as long (2-vCPU VM)
-                while rest:
-                    v = (rest & -rest).bit_length() - 1
-                    rest &= rest - 1
-                    img |= 1 << sigma[v]
-                if img not in seen:
-                    seen.add(img)
-                    stack.append(img)
-    return reps
+    label = np.arange(len(bits))
+    if generators:
+        images = bits @ (1 << np.array(generators).T)
+        while True:
+            low = np.minimum(label, label[images].min(axis=1))
+            low = low[low]
+            if np.array_equal(low, label):
+                break
+            label = low
+    keep = label == np.arange(len(bits))
+    if allowed is not None:
+        keep &= allowed
+    return np.flatnonzero(keep)
 
 
-def _bipartite_masks(g: Graph) -> list[int]:
-    """Masks whose addition keeps the bipartite graph g bipartite.
+def _bipartite_masks(g: Graph, masks: np.ndarray) -> np.ndarray:
+    """Which masks keep the bipartite graph g bipartite when added.
 
     The new vertex's neighbours must lie in one side of some bipartition;
     sides can be flipped per component independently, so a mask works iff its
@@ -130,44 +141,50 @@ def _bipartite_masks(g: Graph) -> list[int]:
     colour classes.
     """
     side0, side1 = is_bipartite(g)
-    comps = connected_components(g)
-    pieces = [(c & side0, c & side1) for c in comps]
-    out = []
-    for mask in range(1 << g.n):
-        ok = True
-        for c0, c1 in pieces:
-            part = mask & (c0 | c1)
-            if part & c0 and part & c1:
-                ok = False
-                break
-        if ok:
-            out.append(mask)
-    return out
+    ok = np.ones(len(masks), dtype=bool)
+    for comp in connected_components(g):
+        ok &= ((masks & (comp & side0)) == 0) | ((masks & (comp & side1)) == 0)
+    return ok
 
 
-def _extend(parents: list[_LevelEntry], bipartite_only: bool) -> list[_LevelEntry]:
-    level: list[_LevelEntry] = []
+def _children(parents: list[_LevelEntry], bipartite_only: bool) -> Iterator[np.ndarray]:
+    """The children that pass the degree pre-test, as blocks of at most
+    _BLOCK rows of neighbour masks (parent order, then mask order)."""
+    m = parents[0].graph.n
+    masks = np.arange(1 << m)
+    bits = masks[:, None] >> np.arange(m) & 1
+    sizes = bits.sum(axis=1)
+    pending = np.empty((0, m + 1), dtype=np.int64)
     for entry in parents:
         g = entry.graph
-        n = g.n + 1
         deg = degrees(g)
         top = max(deg)
         at_top = sum(1 << v for v, d in enumerate(deg) if d == top)
-        bip = _bipartite_masks(g) if bipartite_only else None
-        for mask in _mask_orbit_reps(g.n, entry.generators, bip):
-            # degree pre-test: the child's largest old degree is top, plus one
-            # if the new vertex is adjacent to a vertex of degree top
-            if mask.bit_count() < top + bool(mask & at_top):
-                continue
-            child = add_vertex(g, mask)
-            colors = _equitable_colors(n, child.adj)
-            if colors[-1] != max(colors):
-                continue
-            cf = canonical_form(child, colors=colors)
+        allowed = _bipartite_masks(g, masks) if bipartite_only else None
+        reps = _mask_orbit_reps(bits, entry.generators, allowed)
+        # degree pre-test: the child's largest old degree is top, plus one
+        # if the new vertex is adjacent to a vertex of degree top
+        reps = reps[sizes[reps] >= top + ((reps & at_top) != 0)]
+        rows = np.concatenate([np.array(g.adj) | bits[reps] << m, reps[:, None]], axis=1)
+        pending = np.concatenate([pending, rows])
+        while len(pending) >= _BLOCK:
+            yield pending[:_BLOCK]
+            pending = pending[_BLOCK:]
+    if len(pending):
+        yield pending
+
+
+def _extend(parents: list[_LevelEntry], bipartite_only: bool) -> list[_LevelEntry]:
+    n = parents[0].graph.n + 1
+    level: list[_LevelEntry] = []
+    for rows in _children(parents, bipartite_only):
+        colors = _refine(adjacency_bits(rows))
+        # top-cell pre-test; Graph objects only for the children that pass
+        for i in np.flatnonzero(colors[:, -1] == colors.max(axis=1)):
+            cf = canonical_form(Graph(n, tuple(rows[i].tolist())), colors=colors[i].tolist())
             orbit = _orbit_ids(n, cf.generators)
-            if orbit[cf.labelling[-1]] != orbit[n - 1]:
-                continue
-            level.append(_LevelEntry(cf.graph, cf.code, cf.generators))
+            if orbit[cf.labelling[-1]] == orbit[n - 1]:
+                level.append(_LevelEntry(cf.graph, cf.code, cf.generators))
     level.sort(key=lambda e: e.code)
     return level
 

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import Disconnected, EmptyGraph
-from .graphs import Graph, degrees, is_connected, max_degree
+from .graphs import Graph, adjacency_bits, degrees, is_connected, max_degree
 
 #: Jacobi stops when the off-diagonal Frobenius norm drops below this times
 #: max(1, ||M||_F), or after _MAX_SWEEPS sweeps.
@@ -87,16 +87,11 @@ class PerronData:
 
 
 def adjacency_matrices(graphs: Sequence[Graph]) -> np.ndarray:
-    """Adjacency matrices of same-order graphs as one (N, n, n) float array.
-
-    Entry [i, v, u] is bit u of row v of graph i: the rows are stored as
-    little-endian 64-bit words and their bytes unpacked for all graphs in
-    one vectorised step.
-    """
+    """Adjacency matrices of same-order graphs as one (N, n, n) float array,
+    decoded from the bitmask rows by ``graphs.adjacency_bits``."""
     n = graphs[0].n if graphs else 0
-    rows = np.array([g.adj for g in graphs], dtype="<u8").reshape(len(graphs), n, 1)
-    bits = np.unpackbits(rows.view(np.uint8), axis=2, count=n, bitorder="little")
-    return bits.astype(float)
+    rows = np.array([g.adj for g in graphs], dtype="<u8").reshape(len(graphs), n)
+    return adjacency_bits(rows).astype(float)
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -169,29 +164,31 @@ def jacobi_eigensystem(matrix: np.ndarray):
     return vals, vecs, residual
 
 
-def _certified_residual(a: np.ndarray, vals: np.ndarray, vecs: np.ndarray, what: str) -> float:
-    """max ||A V - V diag(lam)||_inf over eigenpairs stacked like ``eigh``'s.
-
-    Raises ArithmeticError when it exceeds _RESIDUAL_TOL * max(1, max |lam|).
-    """
-    residual = float(np.max(np.abs(a @ vecs - vecs * vals[..., None, :])))
+def _certify(residual: float, vals: np.ndarray, what: str) -> float:
+    """Return the eigenpair residual, or raise ArithmeticError when it
+    exceeds _RESIDUAL_TOL * max(1, max |lam|)."""
     if residual > _RESIDUAL_TOL * max(1.0, float(np.max(np.abs(vals)))):
         raise ArithmeticError(f"{what} residual {residual!r} exceeds its certificate")
     return residual
+
+
+def _certified_residual(a: np.ndarray, vals: np.ndarray, vecs: np.ndarray, what: str) -> float:
+    """max ||A V - V diag(lam)||_inf over eigenpairs stacked like ``eigh``'s,
+    held to the certificate (``_certify``)."""
+    return _certify(float(np.max(np.abs(a @ vecs - vecs * vals[..., None, :]))), vals, what)
 
 
 def adjacency_spectrum(g: Graph) -> SpectrumResult:
     """All adjacency eigenvalues, descending.
 
     Raises ArithmeticError unless the Jacobi eigenpairs pass the same
-    residual certificate as ``adjacency_spectra``.
+    residual certificate as ``adjacency_spectra``; the residual is the one
+    ``jacobi_eigensystem`` returns, the same max ||A V - V diag(lam)||_inf.
     """
     if g.n == 0:
         raise EmptyGraph("spectrum of the order-0 graph is undefined")
-    a = adjacency_matrix(g)
-    vals, vecs, _ = jacobi_eigensystem(a)
-    residual = _certified_residual(a, vals, vecs, "spectrum")
-    return SpectrumResult(tuple(float(x) for x in vals), "jacobi", residual)
+    vals, _, residual = jacobi_eigensystem(adjacency_matrix(g))
+    return SpectrumResult(tuple(float(x) for x in vals), "jacobi", _certify(residual, vals, "spectrum"))
 
 
 def adjacency_spectra(graphs: Sequence[Graph]) -> np.ndarray:

@@ -105,6 +105,47 @@ def brute_min_cols(g: Graph) -> tuple:
     return tuple(best or ())
 
 
+def reference_colors(n: int, adj) -> list[int]:
+    """Stable colour refinement by explicit signatures, one graph at a time:
+    the oracle for the packed-key batch refinement ``graphs._refine``.
+
+    Colours start as degrees; each round recolours by (own colour, sorted
+    neighbour-colour multiset), with ids assigned by the sorted order of the
+    distinct signatures, until the colour count stops growing.
+    """
+    colors = [adj[v].bit_count() for v in range(n)]
+    ncolors = len(set(colors))
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[u] for u in range(n) if adj[v] >> u & 1)))
+                for v in range(n)]
+        table = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        colors = [table[sig] for sig in sigs]
+        if len(table) == ncolors:
+            return colors
+        ncolors = len(table)
+
+
+def reference_orbit_reps(n: int, generators, masks) -> list[int]:
+    """The least mask of each orbit that meets ``masks``, in increasing
+    order, by closing every orbit under the generators one image at a time."""
+    reps = []
+    seen: set[int] = set()
+    for mask in masks:
+        if mask in seen:
+            continue
+        reps.append(mask)
+        seen.add(mask)
+        stack = [mask]
+        while stack:
+            cur = stack.pop()
+            for sigma in generators:
+                img = sum(1 << sigma[v] for v in range(n) if cur >> v & 1)
+                if img not in seen:
+                    seen.add(img)
+                    stack.append(img)
+    return reps
+
+
 def star_forests_up_to(order_cap: int, k_cap: int):
     """All sorted star forests with at most k_cap stars and order <= order_cap."""
     out = []

@@ -129,6 +129,13 @@ class TestBoundsAndThresholds:
             assert (exc.value.code, out.out) == (2, ""), argv
             assert out.err == f"{usage}starfree bound: error: {message}\n", argv
 
+    def test_bound_help_names_each_parameter_tuple(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bound", "--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        assert "t17/conj32: n k d_k; t18/c19: n k" in " ".join(out.split())
+
     def test_usage_error_exit_two(self, capsys):
         for argv in (
             ["bound", "nosuch", "1", "2"],

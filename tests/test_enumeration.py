@@ -1,22 +1,34 @@
 import hashlib
 
+import numpy as np
 import pytest
 
-from conftest import Unbuildable, all_labeled_graphs
+import starfree.enumeration as enumeration_module
+from conftest import Unbuildable, all_labeled_graphs, reference_colors, reference_orbit_reps
 from starfree.enumeration import (
     ALL_CEILING,
     BIPARTITE_CEILING,
     EnumerationCache,
     GraphClass,
+    _bipartite_masks,
+    _children,
+    _extend,
+    _mask_orbit_reps,
     enumerate_graphs,
     parse_graph_class,
 )
 from starfree.errors import OrderTooLarge, ParamOutOfRange
 from starfree.graphs import (
+    CanonicalForm,
+    Graph,
+    _min_code_search,
+    _refine,
+    adjacency_bits,
     canonical_form,
     graph6_encode,
     is_bipartite,
     is_connected,
+    relabel,
 )
 
 
@@ -134,6 +146,82 @@ class TestCounts:
             assert is_connected(g) and is_bipartite(g) is not None
         for g in enumerate_graphs(6, GraphClass.BIPARTITE, cache):
             assert is_bipartite(g) is not None
+
+
+#: The parent levels whose children the fast-path oracles below cover: the
+#: children are every pre-tested child of all <= 7 and bipartite <= 9.
+ORACLE_PARENTS = (("all", 6), ("bipartite", 8))
+
+
+def mask_bits(m: int):
+    masks = np.arange(1 << m)
+    return masks, masks[:, None] >> np.arange(m) & 1
+
+
+def pretested_children(cache):
+    """(n, rows) per block of children that pass the degree pre-test."""
+    for base, top in ORACLE_PARENTS:
+        for m in range(1, top + 1):
+            for rows in _children(cache.level(base, m), base == "bipartite"):
+                yield m + 1, rows
+
+
+class TestFastPaths:
+    def test_refinement_matches_reference_on_every_child(self, cache):
+        children = 0
+        for n, rows in pretested_children(cache):
+            got = _refine(adjacency_bits(rows)).tolist()
+            assert got == [reference_colors(n, row) for row in rows.tolist()], n
+            children += len(rows)
+        assert children > 1000
+
+    def test_mask_orbit_reps_match_closure(self, cache):
+        parents = 0
+        for base, top in ORACLE_PARENTS:
+            for m in range(1, top + 1):
+                masks, bits = mask_bits(m)
+                for entry in cache.level(base, m):
+                    if not entry.generators:
+                        continue
+                    allowed = _bipartite_masks(entry.graph, masks) if base == "bipartite" else None
+                    pool = masks if allowed is None else masks[allowed]
+                    want = reference_orbit_reps(m, entry.generators, pool.tolist())
+                    assert _mask_orbit_reps(bits, entry.generators, allowed).tolist() == want
+                    parents += 1
+        assert parents > 100
+
+    def test_bipartite_masks_keep_the_child_bipartite(self, cache):
+        for m in range(1, 8):
+            masks, _ = mask_bits(m)
+            for entry in cache.level("bipartite", m):
+                g = entry.graph
+                want = [is_bipartite(Graph(m + 1, tuple(
+                    row | (mask >> v & 1) << m for v, row in enumerate(g.adj)) + (mask,))) is not None
+                    for mask in range(1 << m)]
+                assert _bipartite_masks(g, masks).tolist() == want
+
+    def test_discrete_shortcut_matches_the_search(self, cache):
+        discrete = 0
+        for n, rows in pretested_children(cache):
+            for row, colors in zip(rows.tolist(), _refine(adjacency_bits(rows)).tolist()):
+                if max(colors) != n - 1:
+                    continue
+                g = Graph(n, tuple(row))
+                perm, gens = _min_code_search(n, g.adj, colors)
+                labelling = tuple(perm.index(v) for v in range(n))
+                canon = relabel(g, labelling)
+                assert gens == []
+                assert canonical_form(g, colors=colors) == CanonicalForm(
+                    canon, graph6_encode(canon), (), labelling)
+                discrete += 1
+        assert discrete > 100
+
+    def test_block_size_does_not_change_a_level(self, cache, monkeypatch):
+        for block in (1, 7):
+            monkeypatch.setattr(enumeration_module, "_BLOCK", block)
+            for base, top in ORACLE_PARENTS:
+                got = _extend(cache.level(base, top), base == "bipartite")
+                assert got == cache.level(base, top + 1), (block, base)
 
 
 class TestLimits:

@@ -3,11 +3,19 @@ import random
 
 import pytest
 
-from conftest import all_labeled_graphs, brute_min_cols, cycle_graph, path_graph, star_graph
+from conftest import (
+    all_labeled_graphs,
+    brute_min_cols,
+    cycle_graph,
+    path_graph,
+    reference_colors,
+    star_graph,
+)
 from starfree.enumeration import GraphClass, enumerate_graphs
 from starfree.errors import BadEdge, OrderTooLarge, ParseError
 from starfree.graphs import (
-    _equitable_colors,
+    _refine,
+    adjacency_bits,
     canonical_form,
     check_invariants,
     complete_graph,
@@ -245,7 +253,7 @@ class TestGeneratorCompleteness:
             ))
         for g in graphs:
             last = canonical_form(g).labelling.index(g.n - 1)
-            colors = _equitable_colors(g.n, g.adj)
+            colors = _refine(adjacency_bits([g.adj]))[0].tolist()
             assert colors[last] == max(colors)
             assert degrees(g)[last] == max_degree(g)
 
@@ -261,12 +269,13 @@ class TestGeneratorCompleteness:
                 perm = list(range(n))
                 rng.shuffle(perm)
                 inputs += [g, relabel(g, tuple(perm))]
-        expected = [(h, _equitable_colors(h.n, h.adj), canonical_form(h)) for h in inputs]
+        expected = [(h, _refine(adjacency_bits([h.adj]))[0].tolist(), canonical_form(h))
+                    for h in inputs]
 
-        def refine_again(n, adj):
+        def refine_again(a):
             raise AssertionError("refined again")
 
-        monkeypatch.setattr(graphs_module, "_equitable_colors", refine_again)
+        monkeypatch.setattr(graphs_module, "_refine", refine_again)
         for h, colors, cf in expected:
             assert canonical_form(h, colors=colors) == cf
 
@@ -294,6 +303,24 @@ def reference_graph6(g):
 
 def random_graph(rng, n, p):
     return from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+
+
+class TestRefinement:
+    def test_matches_reference_on_random_graphs(self):
+        # one batch per order mixes graphs that settle after different
+        # numbers of rounds; paths and cycles need the most rounds
+        rng = random.Random(13)
+        for n in range(1, 13):
+            graphs = [random_graph(rng, n, p) for p in (0.1, 0.3, 0.5, 0.7, 0.9) for _ in range(8)]
+            graphs += [path_graph(n), cycle_graph(n) if n >= 3 else empty_graph(n),
+                       union(path_graph(n // 2), cycle_graph(n - n // 2)) if n >= 5 else complete_graph(n)]
+            got = _refine(adjacency_bits([g.adj for g in graphs]))
+            assert got.tolist() == [reference_colors(n, g.adj) for g in graphs], n
+
+    def test_order_zero(self):
+        assert _refine(adjacency_bits([empty_graph(0).adj])).shape == (1, 0)
+        cf = canonical_form(empty_graph(0))
+        assert (cf.code, cf.generators, cf.labelling) == ("?", (), ())
 
 
 class TestGraph6:
