@@ -12,8 +12,16 @@ is the edge {i, j}.  The canonical graph minimises exactly these columns
 equitable degree refinement (found by backtracking with automorphism-orbit
 pruning), so its graph6 string is the isomorphism code: two graphs have
 equal codes iff they are isomorphic, and at a fixed order sorting codes
-sorts the bit strings.  When the refinement is discrete, only one ordering
-is compatible and the automorphism group is trivial, so there is no search.
+sorts the bit strings.
+
+Labelling has two paths.  One greedy pass (``_greedy_labelling``) walks
+the search's first leaf for a whole stack of same-order graphs, and marks a
+graph tied when some position has an equal-key candidate that is not a twin
+(N(u) - v = N(v) - u) of the vertex taken.  An untied graph needs no search
+(``_untied_forms`` says why): its form comes from the pass, and its
+automorphisms are its twin swaps.  A discrete partition never ties.  Only
+tied graphs run the search (``_searched_form``).  ``canonical_form`` is the
+pass on a stack of one.
 
 Rows leave the bitmask form in one place: ``adjacency_bits`` unpacks a stack
 of rows into 0/1 matrices, for the spectra and for the refinement.  The
@@ -251,27 +259,24 @@ def check_invariants(g: Graph) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _twin_generators(n: int, adj: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Transpositions of twin vertices — automorphisms known before any search.
+def _twin_swaps(twin: np.ndarray) -> list[list[tuple[int, ...]]]:
+    """For each (n, n) twin matrix of a stack (``_greedy_labelling``), the
+    transposition of every vertex with the next twin above it.
 
-    False twins share the open neighbourhood ``adj[v]``, true twins the
-    closed one ``adj[v] | 1 << v``; both are grouped in one table.  An open
-    key never equals a closed key (N(u) = N[v] would put u in N(u)), and no
-    vertex has a false twin u and a true twin w at once (w in N(v) = N(u)
-    would make u adjacent to v), so the groups are the twin classes.
+    Twins are an equivalence: false twins share N(v), true twins N[v], and
+    no vertex has both kinds (with a true twin w and a false twin u of v,
+    w in N(v) = N(u) puts u in N[w] = N[v]).  So these swaps generate every
+    permutation within each twin class, and they are automorphisms.
     """
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(adj[v], []).append(v)
-        classes.setdefault(adj[v] | 1 << v, []).append(v)
-    gens = []
-    ident = list(range(n))
-    for members in classes.values():
-        for a, b in zip(members, members[1:]):
-            sigma = ident.copy()
-            sigma[a], sigma[b] = b, a
-            gens.append(tuple(sigma))
-    return gens
+    count, n, _ = twin.shape
+    later = np.triu(twin, 1)
+    row, i, j = np.nonzero(later & (later.cumsum(axis=2) == 1))
+    swaps = np.tile(np.arange(n), (len(row), 1))
+    swaps[np.arange(len(row)), i] = j
+    swaps[np.arange(len(row)), j] = i
+    swaps = list(map(tuple, swaps.tolist()))
+    ends = np.cumsum(np.bincount(row, minlength=count)).tolist()
+    return [swaps[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def adjacency_bits(rows) -> np.ndarray:
@@ -342,7 +347,7 @@ def _orbit_ids(n: int, generators) -> list[int]:
     return orbit
 
 
-def _min_code_search(n: int, adj: tuple[int, ...], colors: list[int]):
+def _min_code_search(n: int, adj: tuple[int, ...], colors: list[int], twin_swaps):
     """An ordering with the minimal column-major upper-triangle bit string
     over the orderings the canonical labelling allows: vertices are placed
     cell by cell of the equitable (colour-refinement) partition, cells in
@@ -352,16 +357,16 @@ def _min_code_search(n: int, adj: tuple[int, ...], colors: list[int]):
     j to positions 0..j-1, most significant bit = position 0), so comparing
     int lists compares bit strings.  Pruning: (a) branch-and-bound against
     the best code found so far, (b) one candidate per orbit of the known
-    automorphisms — twin swaps seeded up front plus whatever the search
-    discovers when two orderings produce the same code.  Neither prune can
-    skip a minimal-code ordering that no known automorphism reaches from an
-    explored one, so the generators returned generate the whole group.  No
-    discovered generator is the identity or a repeat: a leaf that ties the
-    best is a different ordering, and an automorphism known when the search
-    left the best ordering's path fixes the common prefix, so the orbit prune
-    would have skipped the diverging candidate.  ``colors`` is the stable
-    refinement (``_refine``).  Returns (perm, generators): perm[i] is the
-    vertex placed at position i.
+    automorphisms — the twin swaps it is given (``_twin_swaps``) plus
+    whatever it discovers when two orderings produce the same code.  Neither
+    prune can skip a minimal-code ordering that no known automorphism
+    reaches from an explored one, so the generators returned generate the
+    whole group.  No discovered generator is the identity or a repeat: a
+    leaf that ties the best is a different ordering, and an automorphism
+    known when the search left the best ordering's path fixes the common
+    prefix, so the orbit prune would have skipped the diverging candidate.
+    ``colors`` is the stable refinement (``_refine``).  Returns (perm,
+    generators): perm[i] is the vertex placed at position i.
     """
     # positions are filled cell by cell in increasing colour id
     position_color = sorted(colors)
@@ -370,7 +375,7 @@ def _min_code_search(n: int, adj: tuple[int, ...], colors: list[int]):
     cols: list[int] = [0] * n
     best_cols: list[int] | None = None
     best_perm: list[int] | None = None
-    gens: list[tuple[int, ...]] = _twin_generators(n, adj)
+    gens: list[tuple[int, ...]] = list(twin_swaps)
 
     def dfs(depth: int, keys: dict[int, int]) -> None:
         nonlocal best_cols, best_perm
@@ -420,35 +425,99 @@ def _min_code_search(n: int, adj: tuple[int, ...], colors: list[int]):
     return best_perm, gens
 
 
+def _greedy_labelling(rows: np.ndarray, a: np.ndarray, colors: np.ndarray):
+    """The first ordering ``_min_code_search`` reaches, for N same-order
+    graphs at once, and whether each is tied.
+
+    ``rows`` are the (N, n) neighbour masks, ``a`` their ``adjacency_bits``
+    and ``colors`` their ``_refine`` colours.  As in the search, positions
+    are filled cell by cell, and each takes the lowest of the unplaced
+    vertices of its cell with the smallest column key (adjacency to the
+    placed vertices, first placed highest).  A row is tied when some
+    position has such a minimum that is not a twin of the vertex taken.
+
+    Returns (perm, tied, twin): perm[i, p] is the vertex at position p of
+    row i, and twin[i, u, v] says N(u) - v = N(v) - u (true for u = v).
+    """
+    count, n = colors.shape
+    bit = np.int64(1) << np.arange(n, dtype=np.int64)
+    twin = (rows[:, :, None] & ~bit) == (rows[:, None, :] & ~bit[:, None])
+    cells = np.sort(colors, axis=1)
+    keys = np.zeros((count, n), dtype=np.int64)
+    free = np.ones((count, n), dtype=bool)
+    perm = np.empty((count, n), dtype=np.int64)
+    tied = np.zeros(count, dtype=bool)
+    at = np.arange(count)
+    for p in range(n):
+        # keys have p < n bits, so 1 << n stands above every candidate
+        cand = np.where(free & (colors == cells[:, p, None]), keys, 1 << n)
+        minima = cand == cand.min(axis=1, keepdims=True)
+        v = minima.argmax(axis=1)
+        tied |= (minima & ~twin[at, v]).any(axis=1)
+        perm[:, p] = v
+        free[at, v] = False
+        keys = 2 * keys + a[at, :, v]
+    return perm, tied, twin
+
+
+def _untied_forms(perm: np.ndarray, a: np.ndarray, twin: np.ndarray) -> list[CanonicalForm]:
+    """The canonical forms of untied rows of ``_greedy_labelling``, without a
+    search.
+
+    Unplaced twins have equal keys, so the pass takes each twin class lowest
+    vertex first, and the unplaced twins of the vertex taken are the highest
+    of its class: the swaps of neighbouring twins among them (``_twin_swaps``,
+    which seed the search) fix every placed vertex, and the search's orbit
+    prune skips them.  In an untied row every other candidate has a larger
+    key, which branch-and-bound skips, so the greedy ordering is the search's
+    only leaf.  The search then finds no generator beyond its seeds, and
+    these generate the whole group.  The canonical matrices are ``a``
+    permuted, and the generators are the twin swaps in canonical labels.
+    """
+    count, n = perm.shape
+    at = np.arange(count)[:, None, None]
+    square = (at, perm[:, :, None], perm[:, None, :])
+    canon_rows = a[square].astype(np.int64) @ (np.int64(1) << np.arange(n, dtype=np.int64))
+    forms = []
+    for adj, labelling, swaps in zip(
+        canon_rows.tolist(), np.argsort(perm, axis=1).tolist(), _twin_swaps(twin[square])
+    ):
+        g = Graph(n, tuple(adj))
+        forms.append(CanonicalForm(g, graph6_encode(g), tuple(swaps), tuple(labelling)))
+    return forms
+
+
+def _searched_form(g: Graph, colors: list[int], twin_swaps) -> CanonicalForm:
+    """The canonical form of a tied graph, by ``_min_code_search``."""
+    perm, gens = _min_code_search(g.n, g.adj, colors, twin_swaps)
+    inv = [0] * g.n
+    for pos, v in enumerate(perm):
+        inv[v] = pos
+    # conjugate the generators into the canonical labelling
+    canon_gens = tuple(tuple(inv[sigma[perm[i]]] for i in range(g.n)) for sigma in gens)
+    canon = relabel(g, tuple(inv))
+    return CanonicalForm(canon, graph6_encode(canon), canon_gens, tuple(inv))
+
+
 def canonical_form(g: Graph, colors: list[int] | None = None) -> CanonicalForm:
-    """Canonical relabelling, code, and discovered automorphism generators.
+    """Canonical relabelling, code, and automorphism generators.
 
     ``colors``, if given, must be the stable refinement of g
-    (``_refine(adjacency_bits([g.adj]))[0]`` as a list); it saves the search
-    from refining again.  A discrete partition (n distinct colours) allows
-    one ordering and admits no automorphism but the identity, so it skips
-    the search: the labelling is the colours and there are no generators.
+    (``_refine(adjacency_bits([g.adj]))[0]`` as a list); it saves refining
+    again.  The greedy pass runs on a stack of one; only a tied graph is
+    searched.
     """
     if g.n > CANONICAL_CEILING:
         raise OrderTooLarge(
             f"canonical labelling capped at order {CANONICAL_CEILING}, got {g.n}"
         )
-    if colors is None:
-        colors = _refine(adjacency_bits([g.adj]))[0].tolist()
-    if max(colors, default=-1) == g.n - 1:
-        labelling, canon_gens = tuple(colors), ()
-    else:
-        perm, gens = _min_code_search(g.n, g.adj, colors)
-        inv = [0] * g.n
-        for pos, v in enumerate(perm):
-            inv[v] = pos
-        labelling = tuple(inv)
-        # conjugate the generators into the canonical labelling
-        canon_gens = tuple(
-            tuple(inv[sigma[perm[i]]] for i in range(g.n)) for sigma in gens
-        )
-    canon = relabel(g, labelling)
-    return CanonicalForm(canon, graph6_encode(canon), canon_gens, labelling)
+    rows = np.array([g.adj], dtype=np.int64)
+    a = adjacency_bits(rows)
+    stack = _refine(a) if colors is None else np.array([colors], dtype=np.int64)
+    perm, tied, twin = _greedy_labelling(rows, a, stack)
+    if tied[0]:
+        return _searched_form(g, stack[0].tolist(), _twin_swaps(twin)[0])
+    return _untied_forms(perm, a, twin)[0]
 
 
 # ---------------------------------------------------------------------------

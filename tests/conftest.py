@@ -105,6 +105,21 @@ def brute_min_cols(g: Graph) -> tuple:
     return tuple(best or ())
 
 
+def group_closure(n: int, generators) -> set[tuple[int, ...]]:
+    """Every element of the permutation group the generators generate."""
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        pi = frontier.pop()
+        for sigma in generators:
+            composed = tuple(sigma[pi[v]] for v in range(n))
+            if composed not in group:
+                group.add(composed)
+                frontier.append(composed)
+    return group
+
+
 def reference_colors(n: int, adj) -> list[int]:
     """Stable colour refinement by explicit signatures, one graph at a time:
     the oracle for the packed-key batch refinement ``graphs._refine``.

@@ -19,7 +19,6 @@ from starfree.families import (
     make_clique_join_regular,
     make_complete_bipartite,
     make_complete_split,
-    radius_bound_bipartite,
     signless_radius_bound,
 )
 from starfree.graphs import (

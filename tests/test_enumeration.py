@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import starfree.enumeration as enumeration_module
-from conftest import Unbuildable, all_labeled_graphs, reference_colors, reference_orbit_reps
+from conftest import (
+    Unbuildable,
+    all_labeled_graphs,
+    group_closure,
+    reference_colors,
+    reference_orbit_reps,
+)
 from starfree.enumeration import (
     ALL_CEILING,
     BIPARTITE_CEILING,
@@ -19,10 +25,13 @@ from starfree.enumeration import (
 )
 from starfree.errors import OrderTooLarge, ParamOutOfRange
 from starfree.graphs import (
-    CanonicalForm,
     Graph,
+    _greedy_labelling,
     _min_code_search,
+    _orbit_ids,
     _refine,
+    _twin_swaps,
+    _untied_forms,
     adjacency_bits,
     canonical_form,
     graph6_encode,
@@ -200,21 +209,41 @@ class TestFastPaths:
                     for mask in range(1 << m)]
                 assert _bipartite_masks(g, masks).tolist() == want
 
-    def test_discrete_shortcut_matches_the_search(self, cache):
-        discrete = 0
+    def test_untied_children_match_the_search(self, cache):
+        # every child that passes both pre-tests: an untied one must get from
+        # the greedy pass the form and the acceptance that the search gives
+        tied = untied = 0
         for n, rows in pretested_children(cache):
-            for row, colors in zip(rows.tolist(), _refine(adjacency_bits(rows)).tolist()):
-                if max(colors) != n - 1:
+            a = adjacency_bits(rows)
+            colors = _refine(a)
+            top = colors[:, -1] == colors.max(axis=1)
+            rows, a, colors = rows[top], a[top], colors[top]
+            perm, is_tied, twin = _greedy_labelling(rows, a, colors)
+            assert not is_tied[colors.max(axis=1) == n - 1].any()  # discrete never ties
+            forms = iter(_untied_forms(perm[~is_tied], a[~is_tied], twin[~is_tied]))
+            for row, cells, swaps, row_tied in zip(
+                rows.tolist(), colors.tolist(), _twin_swaps(twin), is_tied.tolist()
+            ):
+                if row_tied:
+                    tied += 1
                     continue
+                untied += 1
                 g = Graph(n, tuple(row))
-                perm, gens = _min_code_search(n, g.adj, colors)
-                labelling = tuple(perm.index(v) for v in range(n))
+                order, gens = _min_code_search(n, g.adj, cells, swaps)
+                labelling = tuple(order.index(v) for v in range(n))
                 canon = relabel(g, labelling)
-                assert gens == []
-                assert canonical_form(g, colors=colors) == CanonicalForm(
-                    canon, graph6_encode(canon), (), labelling)
-                discrete += 1
-        assert discrete > 100
+                want = [tuple(labelling[sigma[order[i]]] for i in range(n)) for sigma in gens]
+                cf = next(forms)
+                assert (cf.graph, cf.code, cf.labelling) == (canon, graph6_encode(canon), labelling)
+                # the same swaps come out in another order; other lists must
+                # still generate the search's group
+                assert set(cf.generators) == set(want) or (
+                    group_closure(n, cf.generators) == group_closure(n, want))
+                # the enumerator accepts an untied child iff its new vertex is
+                # placed last
+                orbit = _orbit_ids(n, want)
+                assert (labelling[-1] == n - 1) == (orbit[labelling[-1]] == orbit[n - 1])
+        assert tied > 100 and untied > 100
 
     def test_block_size_does_not_change_a_level(self, cache, monkeypatch):
         for block in (1, 7):

@@ -1,12 +1,16 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+import starfree.graphs as graphs_module
 from conftest import (
     all_labeled_graphs,
     brute_min_cols,
+    count_calls,
     cycle_graph,
+    group_closure,
     path_graph,
     reference_colors,
     star_graph,
@@ -14,6 +18,7 @@ from conftest import (
 from starfree.enumeration import GraphClass, enumerate_graphs
 from starfree.errors import BadEdge, OrderTooLarge, ParseError
 from starfree.graphs import (
+    _greedy_labelling,
     _refine,
     adjacency_bits,
     canonical_form,
@@ -207,21 +212,6 @@ def orbits(n: int, group) -> set[frozenset[int]]:
     return {frozenset(p[v] for p in group) for v in range(n)}
 
 
-def group_closure(n: int, generators) -> set[tuple[int, ...]]:
-    """Every element of the permutation group the generators generate."""
-    identity = tuple(range(n))
-    group = {identity}
-    frontier = [identity]
-    while frontier:
-        pi = frontier.pop()
-        for sigma in generators:
-            composed = tuple(sigma[pi[v]] for v in range(n))
-            if composed not in group:
-                group.add(composed)
-                frontier.append(composed)
-    return group
-
-
 class TestGeneratorCompleteness:
     """Canonical augmentation is sound only if the generators reported by
     canonical_form generate the whole automorphism group."""
@@ -278,6 +268,75 @@ class TestGeneratorCompleteness:
         monkeypatch.setattr(graphs_module, "_refine", refine_again)
         for h, colors, cf in expected:
             assert canonical_form(h, colors=colors) == cf
+
+
+def ties(g) -> bool:
+    """Whether the greedy pass marks g tied, as a stack of one."""
+    rows = np.array([g.adj], dtype=np.int64)
+    a = adjacency_bits(rows)
+    return bool(_greedy_labelling(rows, a, _refine(a))[1][0])
+
+
+def automorphisms(g) -> set[tuple[int, ...]]:
+    """The automorphism group by brute force over all n! permutations."""
+    return {p for p in itertools.permutations(range(g.n)) if relabel(g, p) == g}
+
+
+def shuffled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(g, tuple(perm))
+
+
+def cube_graph():
+    return from_edges(8, [(v, v ^ 1 << b) for v in range(8) for b in range(3) if v < v ^ 1 << b])
+
+
+def petersen_graph():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return from_edges(10, outer + spokes + inner)
+
+
+class TestGreedyPass:
+    """Graphs whose automorphisms are all twin swaps come out of the greedy
+    pass untied and need no search; graphs with other automorphisms tie and
+    are searched."""
+
+    def test_twin_only_graphs_are_not_searched(self, monkeypatch):
+        calls = count_calls(monkeypatch, "_min_code_search", graphs_module)
+        graphs = [complete_graph(n) for n in range(1, 7)] + [empty_graph(n) for n in range(1, 7)]
+        graphs += [join(empty_graph(a), empty_graph(b)) for a, b in ((1, 2), (2, 3), (2, 4), (3, 4))]
+        graphs += [star_graph(leaves) for leaves in range(1, 6)]
+        graphs += [join(complete_graph(k - 1), empty_graph(m)) for k, m in ((3, 2), (3, 4), (4, 3), (5, 2))]
+        rng = random.Random(17)
+        for g in graphs:
+            for h in (g, shuffled(g, rng)):
+                assert not ties(h), h
+                cf = canonical_form(h)
+                assert relabel(h, cf.labelling) == cf.graph
+                assert cf.code == canonical_form(g).code
+                assert group_closure(h.n, cf.generators) == automorphisms(cf.graph), h
+        assert calls == []
+
+    def test_symmetric_graphs_tie_and_are_searched(self, monkeypatch):
+        calls = count_calls(monkeypatch, "_min_code_search", graphs_module)
+        graphs = [cycle_graph(n) for n in (4, 5, 6, 7)]
+        graphs += [join(empty_graph(3), empty_graph(3)), cube_graph(), petersen_graph()]
+        rng = random.Random(19)
+        for g in graphs:
+            cf = canonical_form(g)
+            for h in (g, shuffled(g, rng)):
+                assert ties(h), h
+                assert canonical_form(h).code == cf.code
+            group = group_closure(g.n, cf.generators)
+            if g.n <= 8:
+                assert group == automorphisms(cf.graph), g
+            else:  # the Petersen graph's automorphism group is S_5
+                assert len(group) == 120
+                assert all(relabel(cf.graph, sigma) == cf.graph for sigma in cf.generators)
+        assert len(calls) == 3 * len(graphs)
 
 
 def reference_graph6(g):
