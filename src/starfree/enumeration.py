@@ -17,12 +17,11 @@ The children that pass the degree pre-test are collected across parents
 into blocks of at most ``_BLOCK``, which bounds the working memory.  Each
 block's adjacency matrices are unpacked in one numpy step, refined in one
 batched call (``graphs._refine``, the only refinement), top-cell tested by
-one vectorised comparison, and labelled by one greedy pass
-(``graphs._greedy_labelling``).  A child that the pass leaves untied gets
-its canonical form from the pass, and its orbits are its twin classes, so it
-is accepted iff its new vertex is placed last.  Only a tied child runs the
-canonical search and the orbit test.  Blocks change no result: the level is
-sorted by code.
+one vectorised comparison, and labelled by one breadth-first pass
+(``graphs._canonical_forms``, the only labelling).  The pass keeps every
+minimal-code ordering that places each twin class lowest vertex first, so
+a child is accepted iff one of them places its new vertex, the highest,
+last.  Blocks change no result: the level is sorted by code.
 
 Attachment masks are first reduced to one representative per orbit of the
 parent's full automorphism group, over numpy arrays of all 2^n masks: each
@@ -50,12 +49,8 @@ import numpy as np
 from .errors import OrderTooLarge, ParamOutOfRange
 from .graphs import (
     Graph,
-    _greedy_labelling,
-    _orbit_ids,
+    _canonical_forms,
     _refine,
-    _searched_form,
-    _twin_swaps,
-    _untied_forms,
     adjacency_bits,
     canonical_form,
     connected_components,
@@ -182,26 +177,14 @@ def _children(parents: list[_LevelEntry], bipartite_only: bool) -> Iterator[np.n
 
 
 def _extend(parents: list[_LevelEntry], bipartite_only: bool) -> list[_LevelEntry]:
-    n = parents[0].graph.n + 1
     level: list[_LevelEntry] = []
     for rows in _children(parents, bipartite_only):
         a = adjacency_bits(rows)
         colors = _refine(a)
         top = colors[:, -1] == colors.max(axis=1)  # top-cell pre-test
-        rows, a, colors = rows[top], a[top], colors[top]
-        perm, tied, twin = _greedy_labelling(rows, a, colors)
-        # an untied child's orbits are its twin classes, which the pass places
-        # lowest vertex first: the orbit of the vertex placed last holds the
-        # highest vertex n - 1 iff n - 1 is placed last
-        accept = ~tied & (perm[:, -1] == n - 1)
-        forms = _untied_forms(perm[accept], a[accept], twin[accept])
-        searched = zip(rows[tied].tolist(), colors[tied].tolist(), _twin_swaps(twin[tied]))
-        for adj, cells, swaps in searched:
-            cf = _searched_form(Graph(n, tuple(adj)), cells, swaps)
-            orbit = _orbit_ids(n, cf.generators)
-            if orbit[cf.labelling[-1]] == orbit[n - 1]:
-                forms.append(cf)
-        level += [_LevelEntry(cf.graph, cf.code, cf.generators) for cf in forms]
+        forms, placed_last = _canonical_forms(rows[top], a[top], colors[top])
+        level += [_LevelEntry(cf.graph, cf.code, cf.generators)
+                  for cf, accept in zip(forms, placed_last) if accept]
     level.sort(key=lambda e: e.code)
     return level
 

@@ -140,6 +140,106 @@ def reference_colors(n: int, adj) -> list[int]:
         ncolors = len(table)
 
 
+def reference_orbit_ids(n: int, generators) -> list[int]:
+    """Each vertex's orbit under the group the generators generate, named by
+    the orbit's smallest vertex."""
+    orbit = [-1] * n
+    for v in range(n):
+        if orbit[v] >= 0:
+            continue
+        orbit[v] = v
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for sigma in generators:
+                w = sigma[u]
+                if orbit[w] < 0:
+                    orbit[w] = v
+                    stack.append(w)
+    return orbit
+
+
+def reference_min_code_search(n: int, adj: tuple[int, ...], colors: list[int], twin_swaps):
+    """The depth-first canonical search, the oracle for the breadth-first
+    pass ``graphs._canonical_forms``.
+
+    An ordering with the minimal column-major upper-triangle bit string
+    over the orderings the canonical labelling allows: vertices are placed
+    cell by cell of the equitable (colour-refinement) partition, cells in
+    invariant colour order.
+
+    cols[j] holds the j bits of column j (adjacency of the vertex at position
+    j to positions 0..j-1, most significant bit = position 0), so comparing
+    int lists compares bit strings.  Pruning: (a) branch-and-bound against
+    the best code found so far, (b) one candidate per orbit of the known
+    automorphisms — the twin swaps it is given (``_twin_swaps``) plus
+    whatever it discovers when two orderings produce the same code.  Neither
+    prune can skip a minimal-code ordering that no known automorphism
+    reaches from an explored one, so the generators returned generate the
+    whole group.  No discovered generator is the identity or a repeat: a
+    leaf that ties the best is a different ordering, and an automorphism
+    known when the search left the best ordering's path fixes the common
+    prefix, so the orbit prune would have skipped the diverging candidate.
+    ``colors`` is the stable refinement (``_refine``).  Returns (perm,
+    generators): perm[i] is the vertex placed at position i.
+    """
+    # positions are filled cell by cell in increasing colour id
+    position_color = sorted(colors)
+
+    prefix: list[int] = []
+    cols: list[int] = [0] * n
+    best_cols: list[int] | None = None
+    best_perm: list[int] | None = None
+    gens: list[tuple[int, ...]] = list(twin_swaps)
+
+    def dfs(depth: int, keys: dict[int, int]) -> None:
+        nonlocal best_cols, best_perm
+        if depth == n:
+            if best_cols is None or cols < best_cols:
+                best_cols = cols.copy()
+                best_perm = prefix.copy()
+            elif cols == best_cols:
+                sigma = [0] * n
+                for i in range(n):
+                    sigma[best_perm[i]] = prefix[i]
+                gens.append(tuple(sigma))
+            return
+
+        want = position_color[depth]
+        cands = sorted((col, v) for v, col in keys.items() if colors[v] == want)
+
+        tried: list[int] = []
+        orbit = None
+        gens_seen = 0
+        tight = best_cols is not None and cols[:depth] == best_cols[:depth]
+        for col, v in cands:
+            # the first candidate is never pruned, so the stabiliser orbits
+            # are needed only from the second one on
+            if tried and gens_seen != len(gens):
+                gens_seen = len(gens)
+                orbit = reference_orbit_ids(n, [g for g in gens if all(g[p] == p for p in prefix)])
+            if orbit is not None and any(orbit[u] == orbit[v] for u in tried):
+                tried.append(v)
+                continue
+            if tight:
+                bc = best_cols[depth]
+                if col > bc:
+                    break  # candidates are sorted; the rest only get worse
+            prefix.append(v)
+            cols[depth] = col
+            child_keys = {
+                u: key << 1 | (adj[u] >> v & 1) for u, key in keys.items() if u != v
+            }
+            dfs(depth + 1, child_keys)
+            prefix.pop()
+            tried.append(v)
+            # best can only have moved to a descendant, so we are tight now
+            tight = best_cols is not None and cols[:depth] == best_cols[:depth]
+
+    dfs(0, {v: 0 for v in range(n)})
+    return best_perm, gens
+
+
 def reference_orbit_reps(n: int, generators, masks) -> list[int]:
     """The least mask of each orbit that meets ``masks``, in increasing
     order, by closing every orbit under the generators one image at a time."""

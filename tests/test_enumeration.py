@@ -9,6 +9,8 @@ from conftest import (
     all_labeled_graphs,
     group_closure,
     reference_colors,
+    reference_min_code_search,
+    reference_orbit_ids,
     reference_orbit_reps,
 )
 from starfree.enumeration import (
@@ -26,12 +28,10 @@ from starfree.enumeration import (
 from starfree.errors import OrderTooLarge, ParamOutOfRange
 from starfree.graphs import (
     Graph,
-    _greedy_labelling,
-    _min_code_search,
-    _orbit_ids,
+    _canonical_forms,
+    _min_code_leaves,
     _refine,
     _twin_swaps,
-    _untied_forms,
     adjacency_bits,
     canonical_form,
     graph6_encode,
@@ -209,41 +209,53 @@ class TestFastPaths:
                     for mask in range(1 << m)]
                 assert _bipartite_masks(g, masks).tolist() == want
 
-    def test_untied_children_match_the_search(self, cache):
-        # every child that passes both pre-tests: an untied one must get from
-        # the greedy pass the form and the acceptance that the search gives
-        tied = untied = 0
+    def test_every_child_matches_the_search(self, cache):
+        # every child that passes both pre-tests must get from the labelling
+        # pass the form, the group and the acceptance that the depth-first
+        # search and its orbit test give
+        several = one = 0
         for n, rows in pretested_children(cache):
             a = adjacency_bits(rows)
             colors = _refine(a)
             top = colors[:, -1] == colors.max(axis=1)
             rows, a, colors = rows[top], a[top], colors[top]
-            perm, is_tied, twin = _greedy_labelling(rows, a, colors)
-            assert not is_tied[colors.max(axis=1) == n - 1].any()  # discrete never ties
-            forms = iter(_untied_forms(perm[~is_tied], a[~is_tied], twin[~is_tied]))
-            for row, cells, swaps, row_tied in zip(
-                rows.tolist(), colors.tolist(), _twin_swaps(twin), is_tied.tolist()
+            forms, placed_last = _canonical_forms(rows, a, colors)
+            leaves, owner, twin = _min_code_leaves(rows, a, colors)
+            leaf_counts = np.bincount(owner, minlength=len(rows)).tolist()
+            for row, cells, swaps, cf, accept, count in zip(
+                rows.tolist(), colors.tolist(), _twin_swaps(twin), forms, placed_last.tolist(), leaf_counts
             ):
-                if row_tied:
-                    tied += 1
-                    continue
-                untied += 1
+                several += count > 1
+                one += count == 1
                 g = Graph(n, tuple(row))
-                order, gens = _min_code_search(n, g.adj, cells, swaps)
+                order, gens = reference_min_code_search(n, g.adj, cells, swaps)
                 labelling = tuple(order.index(v) for v in range(n))
                 canon = relabel(g, labelling)
                 want = [tuple(labelling[sigma[order[i]]] for i in range(n)) for sigma in gens]
-                cf = next(forms)
                 assert (cf.graph, cf.code, cf.labelling) == (canon, graph6_encode(canon), labelling)
-                # the same swaps come out in another order; other lists must
-                # still generate the search's group
+                # equal generator sets skip the closures, which are slow for
+                # the large twin groups
                 assert set(cf.generators) == set(want) or (
                     group_closure(n, cf.generators) == group_closure(n, want))
-                # the enumerator accepts an untied child iff its new vertex is
-                # placed last
-                orbit = _orbit_ids(n, want)
-                assert (labelling[-1] == n - 1) == (orbit[labelling[-1]] == orbit[n - 1])
-        assert tied > 100 and untied > 100
+                orbit = reference_orbit_ids(n, want)
+                assert accept == (orbit[labelling[-1]] == orbit[n - 1])
+        assert several > 100 and one > 100
+
+    def test_rejected_children_are_already_in_the_level(self, cache):
+        # a child whose new vertex is not in the orbit of the vertex placed
+        # last is rejected; its class is accepted from another parent
+        level = {entry.code for entry in cache.level("all", 8)}
+        rejected = 0
+        for rows in _children(cache.level("all", 7), False):
+            a = adjacency_bits(rows)
+            colors = _refine(a)
+            top = colors[:, -1] == colors.max(axis=1)
+            forms, placed_last = _canonical_forms(rows[top], a[top], colors[top])
+            for cf, accept in zip(forms, placed_last):
+                if not accept:
+                    rejected += 1
+                    assert cf.code in level
+        assert rejected > 0
 
     def test_block_size_does_not_change_a_level(self, cache, monkeypatch):
         for block in (1, 7):

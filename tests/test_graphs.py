@@ -4,11 +4,9 @@ import random
 import numpy as np
 import pytest
 
-import starfree.graphs as graphs_module
 from conftest import (
     all_labeled_graphs,
     brute_min_cols,
-    count_calls,
     cycle_graph,
     group_closure,
     path_graph,
@@ -18,7 +16,8 @@ from conftest import (
 from starfree.enumeration import GraphClass, enumerate_graphs
 from starfree.errors import BadEdge, OrderTooLarge, ParseError
 from starfree.graphs import (
-    _greedy_labelling,
+    CANONICAL_CEILING,
+    _min_code_leaves,
     _refine,
     adjacency_bits,
     canonical_form,
@@ -270,11 +269,11 @@ class TestGeneratorCompleteness:
             assert canonical_form(h, colors=colors) == cf
 
 
-def ties(g) -> bool:
-    """Whether the greedy pass marks g tied, as a stack of one."""
+def leaf_count(g) -> int:
+    """How many leaves the labelling pass keeps for g, as a stack of one."""
     rows = np.array([g.adj], dtype=np.int64)
     a = adjacency_bits(rows)
-    return bool(_greedy_labelling(rows, a, _refine(a))[1][0])
+    return len(_min_code_leaves(rows, a, _refine(a))[0])
 
 
 def automorphisms(g) -> set[tuple[int, ...]]:
@@ -299,13 +298,24 @@ def petersen_graph():
     return from_edges(10, outer + spokes + inner)
 
 
-class TestGreedyPass:
-    """Graphs whose automorphisms are all twin swaps come out of the greedy
-    pass untied and need no search; graphs with other automorphisms tie and
-    are searched."""
+def icosahedron():
+    """Poles 0 and 11, an upper ring 1..5 and a lower ring 6..10."""
+    rings = [(1 + i, 1 + (i + 1) % 5) for i in range(5)] + [(6 + i, 6 + (i + 1) % 5) for i in range(5)]
+    poles = [(0, 1 + i) for i in range(5)] + [(11, 6 + i) for i in range(5)]
+    band = [(1 + i, 6 + i) for i in range(5)] + [(1 + i, 6 + (i + 1) % 5) for i in range(5)]
+    return from_edges(12, rings + poles + band)
 
-    def test_twin_only_graphs_are_not_searched(self, monkeypatch):
-        calls = count_calls(monkeypatch, "_min_code_search", graphs_module)
+
+def moved(sigma) -> int:
+    return sum(v != w for v, w in enumerate(sigma))
+
+
+class TestGreedyPass:
+    """Graphs whose automorphisms are all twin swaps keep one leaf in the
+    labelling pass; graphs with other automorphisms keep one leaf per coset
+    of the twin swaps, and their generators still generate the group."""
+
+    def test_twin_only_graphs_have_one_leaf(self):
         graphs = [complete_graph(n) for n in range(1, 7)] + [empty_graph(n) for n in range(1, 7)]
         graphs += [join(empty_graph(a), empty_graph(b)) for a, b in ((1, 2), (2, 3), (2, 4), (3, 4))]
         graphs += [star_graph(leaves) for leaves in range(1, 6)]
@@ -313,22 +323,20 @@ class TestGreedyPass:
         rng = random.Random(17)
         for g in graphs:
             for h in (g, shuffled(g, rng)):
-                assert not ties(h), h
+                assert leaf_count(h) == 1, h
                 cf = canonical_form(h)
                 assert relabel(h, cf.labelling) == cf.graph
                 assert cf.code == canonical_form(g).code
                 assert group_closure(h.n, cf.generators) == automorphisms(cf.graph), h
-        assert calls == []
 
-    def test_symmetric_graphs_tie_and_are_searched(self, monkeypatch):
-        calls = count_calls(monkeypatch, "_min_code_search", graphs_module)
+    def test_symmetric_graphs_have_several_leaves(self):
         graphs = [cycle_graph(n) for n in (4, 5, 6, 7)]
         graphs += [join(empty_graph(3), empty_graph(3)), cube_graph(), petersen_graph()]
         rng = random.Random(19)
         for g in graphs:
             cf = canonical_form(g)
             for h in (g, shuffled(g, rng)):
-                assert ties(h), h
+                assert leaf_count(h) > 1, h
                 assert canonical_form(h).code == cf.code
             group = group_closure(g.n, cf.generators)
             if g.n <= 8:
@@ -336,7 +344,24 @@ class TestGreedyPass:
             else:  # the Petersen graph's automorphism group is S_5
                 assert len(group) == 120
                 assert all(relabel(cf.graph, sigma) == cf.graph for sigma in cf.generators)
-        assert len(calls) == 3 * len(graphs)
+
+    def test_groups_at_the_ceiling(self):
+        # order CANONICAL_CEILING: C12 and 2C6 hold 4 320 nodes at their
+        # widest depth, and 6K2 has 720 leaves, one per permutation of its edges
+        rng = random.Random(23)
+        two_hexagons = union(cycle_graph(6), cycle_graph(6))
+        matching = from_edges(12, [(2 * i, 2 * i + 1) for i in range(6)])
+        for g, order in ((two_hexagons, 288), (icosahedron(), 120), (cycle_graph(12), 24), (matching, None)):
+            assert g.n == CANONICAL_CEILING
+            cf = canonical_form(g)
+            for _ in range(3):
+                assert canonical_form(shuffled(g, rng)).code == cf.code
+            assert all(relabel(cf.graph, sigma) == cf.graph for sigma in cf.generators)
+            if order is not None:
+                assert len(group_closure(g.n, cf.generators)) == order, g
+        swaps = [sigma for sigma in canonical_form(matching).generators if moved(sigma) == 2]
+        assert len(swaps) <= 6
+        assert len(canonical_form(matching).generators) - len(swaps) <= 10
 
 
 def reference_graph6(g):
