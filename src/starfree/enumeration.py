@@ -9,9 +9,10 @@ vertex.  Two cheap necessary conditions run first, because the last
 canonical position belongs to the highest colour cell of the equitable
 partition, and a higher colour id never means a lower degree: the new
 vertex must have maximum degree in the child (integer work on the parent's
-degrees, no new graph), and it must lie in the highest colour cell of the
-child's equitable partition.  Only the children that pass both are
-labelled, starting from that partition instead of refining again.
+degrees, which one numpy step takes for the whole parent level), and it
+must lie in the highest colour cell of the child's equitable partition.
+Only the children that pass both are labelled, starting from that
+partition instead of refining again.
 
 The children that pass the degree pre-test are collected across parents
 into blocks of at most ``_BLOCK``, which bounds the working memory.  Each
@@ -23,6 +24,14 @@ minimal-code ordering that places each twin class lowest vertex first, so
 a child is accepted iff one of them places its new vertex, the highest,
 last.  Blocks change no result: the level is sorted by code.
 
+A level (``Level``) is held as arrays and builds no object per graph: an
+(N, n) uint16 array of canonical neighbour masks and an int8 table of
+automorphism generators with per-graph offsets, both in graph6 order.  It
+is sorted by lexsorting the columns of the graph6 bit string
+(``graphs._graph6_order``), so no code is stored.  ``enumerate_graphs``
+builds each ``Graph`` as it yields it, and graph6 is written only for the
+codes that are output.
+
 Attachment masks are first reduced to one representative per orbit of the
 parent's full automorphism group, over numpy arrays of all 2^n masks: each
 generator gets a table of mask images, and min-label propagation names each
@@ -30,7 +39,7 @@ orbit by its smallest mask.  By McKay's theorem (B. D. McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 26 (1998), section 4)
 the accepted children of one parent are then pairwise non-isomorphic, and
 each class is accepted from one parent class only, so every accepted child
-is kept and the level is sorted by canonical graph6 code once complete.
+is kept.
 
 Bipartite graphs are closed under vertex deletion, so the bipartite classes
 are generated by the same augmentation restricted to bipartite parents and
@@ -50,11 +59,11 @@ from .errors import OrderTooLarge, ParamOutOfRange
 from .graphs import (
     Graph,
     _canonical_forms,
+    _graph6_order,
     _refine,
     adjacency_bits,
     canonical_form,
     connected_components,
-    degrees,
     is_bipartite,
     is_connected,
 )
@@ -99,11 +108,30 @@ def parse_graph_class(text: str) -> GraphClass:
         ) from None
 
 
-@dataclass(frozen=True)
-class _LevelEntry:
-    graph: Graph  # canonical representative
-    code: str  # its graph6
-    generators: tuple[tuple[int, ...], ...]
+@dataclass(frozen=True, eq=False)
+class Level:
+    """The canonical graphs of one order, sorted by graph6 code, as arrays.
+
+    ``rows[i]`` holds graph i's canonical neighbour masks, and its
+    automorphism generators are the int8 permutations
+    ``gens[starts[i]:starts[i + 1]]``.
+    """
+
+    rows: np.ndarray  # (N, n) uint16
+    gens: np.ndarray  # (G, n) int8
+    starts: np.ndarray  # (N + 1,) int64
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def generators(self, i: int) -> np.ndarray:
+        return self.gens[self.starts[i]:self.starts[i + 1]]
+
+    def graphs(self) -> Iterator[Graph]:
+        """Each graph, built as it is yielded."""
+        n = self.rows.shape[1]
+        for row in self.rows.tolist():
+            yield Graph(n, tuple(row))
 
 
 def _mask_orbit_reps(bits: np.ndarray, generators, allowed: np.ndarray | None) -> np.ndarray:
@@ -120,8 +148,8 @@ def _mask_orbit_reps(bits: np.ndarray, generators, allowed: np.ndarray | None) -
     classes, so the bipartite masks (``allowed``) are a union of orbits.
     """
     label = np.arange(len(bits))
-    if generators:
-        images = bits @ (1 << np.array(generators).T)
+    if len(generators):
+        images = bits @ (1 << generators.T.astype(np.int64))
         while True:
             low = np.minimum(label, label[images].min(axis=1))
             low = low[low]
@@ -149,25 +177,24 @@ def _bipartite_masks(g: Graph, masks: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _children(parents: list[_LevelEntry], bipartite_only: bool) -> Iterator[np.ndarray]:
+def _children(parents: Level, bipartite_only: bool) -> Iterator[np.ndarray]:
     """The children that pass the degree pre-test, as blocks of at most
     _BLOCK rows of neighbour masks (parent order, then mask order)."""
-    m = parents[0].graph.n
+    m = parents.rows.shape[1]
     masks = np.arange(1 << m)
     bits = masks[:, None] >> np.arange(m) & 1
     sizes = bits.sum(axis=1)
+    deg = adjacency_bits(parents.rows).sum(axis=2)
+    top = deg.max(axis=1)
+    at_top = (deg == top[:, None]) @ (1 << np.arange(m))
     pending = np.empty((0, m + 1), dtype=np.int64)
-    for entry in parents:
-        g = entry.graph
-        deg = degrees(g)
-        top = max(deg)
-        at_top = sum(1 << v for v, d in enumerate(deg) if d == top)
-        allowed = _bipartite_masks(g, masks) if bipartite_only else None
-        reps = _mask_orbit_reps(bits, entry.generators, allowed)
+    for i, row in enumerate(parents.rows.astype(np.int64)):
+        allowed = _bipartite_masks(Graph(m, tuple(row.tolist())), masks) if bipartite_only else None
+        reps = _mask_orbit_reps(bits, parents.generators(i), allowed)
         # degree pre-test: the child's largest old degree is top, plus one
         # if the new vertex is adjacent to a vertex of degree top
-        reps = reps[sizes[reps] >= top + ((reps & at_top) != 0)]
-        rows = np.concatenate([np.array(g.adj) | bits[reps] << m, reps[:, None]], axis=1)
+        reps = reps[sizes[reps] >= top[i] + ((reps & at_top[i]) != 0)]
+        rows = np.concatenate([row | bits[reps] << m, reps[:, None]], axis=1)
         pending = np.concatenate([pending, rows])
         while len(pending) >= _BLOCK:
             yield pending[:_BLOCK]
@@ -176,17 +203,27 @@ def _children(parents: list[_LevelEntry], bipartite_only: bool) -> Iterator[np.n
         yield pending
 
 
-def _extend(parents: list[_LevelEntry], bipartite_only: bool) -> list[_LevelEntry]:
-    level: list[_LevelEntry] = []
-    for rows in _children(parents, bipartite_only):
-        a = adjacency_bits(rows)
+def _extend(parents: Level, bipartite_only: bool) -> Level:
+    rows, gens, counts = [], [], []
+    for block in _children(parents, bipartite_only):
+        a = adjacency_bits(block)
         colors = _refine(a)
         top = colors[:, -1] == colors.max(axis=1)  # top-cell pre-test
-        forms, placed_last = _canonical_forms(rows[top], a[top], colors[top])
-        level += [_LevelEntry(cf.graph, cf.code, cf.generators)
-                  for cf, accept in zip(forms, placed_last) if accept]
-    level.sort(key=lambda e: e.code)
-    return level
+        canon, block_gens, starts, accept, _ = _canonical_forms(block[top], a[top], colors[top])
+        per_graph = np.diff(starts)
+        rows.append(canon[accept].astype(np.uint16))
+        gens.append(block_gens[np.repeat(accept, per_graph)])
+        # at most n - 1 swaps and log2(n!) coset maps a graph: a uint8
+        counts.append(per_graph[accept].astype(np.uint8))
+    rows = np.concatenate(rows)
+    order = _graph6_order(rows)
+    rows = rows[order]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    counts = np.concatenate(counts)
+    # each graph's generators move with it and keep their own order
+    gens = np.concatenate(gens)[np.argsort(np.repeat(rank, counts), kind="stable")]
+    return Level(rows, gens, np.concatenate([[0], np.cumsum(counts[order], dtype=np.int64)]))
 
 
 class EnumerationCache:
@@ -194,13 +231,11 @@ class EnumerationCache:
 
     def __init__(self):
         cf = canonical_form(Graph(1, (0,)))
-        base = _LevelEntry(cf.graph, cf.code, cf.generators)
-        self._levels: dict[str, list[list[_LevelEntry]]] = {
-            "all": [[base]],
-            "bipartite": [[base]],
-        }
+        base = Level(np.array([cf.graph.adj], dtype=np.uint16),
+                     np.array(cf.generators, dtype=np.int8).reshape(-1, 1), np.array([0, len(cf.generators)]))
+        self._levels: dict[str, list[Level]] = {"all": [base], "bipartite": [base]}
 
-    def level(self, base: str, n: int) -> list[_LevelEntry]:
+    def level(self, base: str, n: int) -> Level:
         levels = self._levels[base]
         while len(levels) < n:
             levels.append(_extend(levels[-1], bipartite_only=(base == "bipartite")))
@@ -228,7 +263,7 @@ def enumerate_graphs(
     if cache is None:
         cache = EnumerationCache()
     base = "bipartite" if graph_class.bipartite_only else "all"
-    for entry in cache.level(base, n):
-        if graph_class.connected_only and not is_connected(entry.graph):
+    for g in cache.level(base, n).graphs():
+        if graph_class.connected_only and not is_connected(g):
             continue
-        yield entry.graph
+        yield g

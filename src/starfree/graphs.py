@@ -18,10 +18,13 @@ walks the labelling tree for a whole stack of same-order graphs, keeping at
 each depth every prefix of minimal code that places each twin class
 (N(u) - v = N(v) - u) lowest vertex first.  Its leaves give each graph's
 canonical form, its automorphism generators and the orbit of the vertex
-placed last (``_canonical_forms``).  ``canonical_form`` is the pass on a
-stack of one.  Walking the tree breadth first is the approach of Traces
-(B. D. McKay and A. Piperno, "Practical graph isomorphism, II", J. Symb.
-Comput. 60 (2014)).
+placed last (``_canonical_forms``), all as arrays: the canonical neighbour
+masks, one int8 table of generators with per-graph offsets, and the
+labellings.  ``canonical_form`` is the pass on a stack of one, and the only
+place that builds a ``CanonicalForm`` and its graph6 string; a stack is
+sorted by code without writing one (``_graph6_order``).  Walking the tree
+breadth first is the approach of Traces (B. D. McKay and A. Piperno,
+"Practical graph isomorphism, II", J. Symb. Comput. 60 (2014)).
 
 Rows leave the bitmask form in one place: ``adjacency_bits`` unpacks a stack
 of rows into 0/1 matrices, for the spectra and for the refinement.  The
@@ -79,7 +82,8 @@ class CanonicalForm:
     (tuples mapping vertex -> image) of the canonical graph that generate its
     whole automorphism group: the twin swaps, then one map between two
     minimal-code orderings per coset the swaps leave ungenerated.  The
-    enumerator uses them to prune equivalent vertex augmentations.
+    enumerator takes the same generators, as an int8 table, straight from
+    ``_canonical_forms`` to prune equivalent vertex augmentations.
     """
 
     graph: Graph
@@ -262,7 +266,7 @@ def check_invariants(g: Graph) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _twin_swaps(twin: np.ndarray) -> list[list[tuple[int, ...]]]:
+def _twin_swaps(twin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each (n, n) twin matrix of a stack (``_min_code_leaves``), the
     transposition of every vertex with the next twin above it.
 
@@ -270,16 +274,16 @@ def _twin_swaps(twin: np.ndarray) -> list[list[tuple[int, ...]]]:
     no vertex has both kinds (with a true twin w and a false twin u of v,
     w in N(v) = N(u) puts u in N[w] = N[v]).  So these swaps generate every
     permutation within each twin class, and they are automorphisms.
+    Returns (swaps, owner): swaps[s] is an int8 permutation of graph
+    owner[s], and owner is non-decreasing.
     """
-    count, n, _ = twin.shape
+    n = twin.shape[1]
     later = np.triu(twin, 1)
-    row, i, j = np.nonzero(later & (later.cumsum(axis=2) == 1))
-    swaps = np.tile(np.arange(n), (len(row), 1))
-    swaps[np.arange(len(row)), i] = j
-    swaps[np.arange(len(row)), j] = i
-    swaps = list(map(tuple, swaps.tolist()))
-    ends = np.cumsum(np.bincount(row, minlength=count)).tolist()
-    return [swaps[start:end] for start, end in zip([0, *ends], ends)]
+    owner, i, j = np.nonzero(later & (later.cumsum(axis=2) == 1))
+    swaps = np.tile(np.arange(n, dtype=np.int8), (len(owner), 1))
+    swaps[np.arange(len(owner)), i] = j
+    swaps[np.arange(len(owner)), j] = i
+    return swaps, owner
 
 
 def adjacency_bits(rows) -> np.ndarray:
@@ -415,47 +419,59 @@ def _coset_generators(maps: list[list[int]], cosets: list[list[int]]) -> list[tu
 
 def _canonical_forms(rows: np.ndarray, a: np.ndarray, colors: np.ndarray):
     """The canonical forms of N same-order graphs (arguments as in
-    ``_min_code_leaves``), and whether each graph's vertex n - 1 lies in the
-    automorphism orbit of the vertex placed last.
+    ``_min_code_leaves``), as arrays, and whether each graph's vertex n - 1
+    lies in the automorphism orbit of the vertex placed last.
 
-    The first leaf gives the canonical graph, code and labelling.  The
-    generators are the twin swaps (``_twin_swaps``), then the maps from the
-    first leaf onto the others that ``_coset_generators`` keeps: every coset
-    of the twin group has a leaf, so they generate the whole group.  A leaf
-    places each twin class lowest vertex first, so it places last the
-    highest vertex of the last class; vertex n - 1, the highest of all, is in
-    the orbit of the vertex placed last iff some leaf places it last.
+    Returns (canon, gens, starts, placed_last, labellings).  canon[i] holds
+    graph i's canonical neighbour masks and labellings[i] maps its vertices
+    to their canonical positions; both come from its first leaf.  Its
+    generators are the int8 rows gens[starts[i]:starts[i + 1]]: the twin
+    swaps (``_twin_swaps``), then the maps from the first leaf onto the
+    others that ``_coset_generators`` keeps.  Every coset of the twin group
+    has a leaf, so they generate the whole group, and a graph with one leaf
+    has no coset to add.  A leaf places each twin class lowest vertex first,
+    so it places last the highest vertex of the last class; vertex n - 1,
+    the highest of all, is in the orbit of the vertex placed last iff some
+    leaf places it last.
     """
     count, n = colors.shape
     leaves, owner, twin = _min_code_leaves(rows, a, colors)
     starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    sizes = np.diff(starts, append=len(owner))
     first = leaves[starts]
     at = np.arange(count)[:, None, None]
     square = (at, first[:, :, None], first[:, None, :])
-    canon_rows = a[square].astype(np.int64) @ (np.int64(1) << np.arange(n, dtype=np.int64))
+    canon = a[square].astype(np.int64) @ (np.int64(1) << np.arange(n, dtype=np.int64))
     labellings = np.argsort(first, axis=1)
     canon_twin = twin[square]
-    # maps[k] takes canonical vertex p to the canonical label of leaf k's
-    # vertex at position p: the identity on each graph's first leaf
-    maps = np.take_along_axis(labellings[owner], leaves, axis=1)
-    # the lowest twin of each canonical vertex: the count of non-twins below
-    # its first twin
-    classes = (canon_twin.cumsum(axis=2) == 0).sum(axis=2)
-    cosets = np.take_along_axis(classes[owner], maps, axis=1).tolist()
-    maps = maps.tolist()
-    ends = [*starts[1:].tolist(), len(owner)]
-    forms = []
-    for start, end, adj, labelling, swaps in zip(
-        starts.tolist(), ends, canon_rows.tolist(), labellings.tolist(), _twin_swaps(canon_twin)
-    ):
-        if end - start > 1:
-            swaps += _coset_generators(maps[start:end], cosets[start:end])
-        g = Graph(n, tuple(adj))
-        forms.append(CanonicalForm(g, graph6_encode(g), tuple(swaps), tuple(labelling)))
+    gens, gen_owner = _twin_swaps(canon_twin)
+    tied = np.flatnonzero(sizes > 1)
+    if len(tied):
+        on_tied = np.repeat(sizes > 1, sizes)
+        # maps[k] takes canonical vertex p to the canonical label of leaf k's
+        # vertex at position p: the identity on each graph's first leaf
+        maps = np.take_along_axis(labellings[owner[on_tied]], leaves[on_tied], axis=1)
+        # the lowest twin of each canonical vertex: the count of non-twins
+        # below its first twin
+        classes = (canon_twin[tied].cumsum(axis=2) == 0).sum(axis=2)
+        cosets = np.take_along_axis(np.repeat(classes, sizes[tied], axis=0), maps, axis=1).tolist()
+        maps = maps.tolist()
+        kept, kept_owner = [], []
+        end = 0
+        for graph, size in zip(tied.tolist(), sizes[tied].tolist()):
+            start, end = end, end + size
+            found = _coset_generators(maps[start:end], cosets[start:end])
+            kept += found
+            kept_owner += [graph] * len(found)
+        gen_owner = np.concatenate([gen_owner, kept_owner]).astype(np.int64)
+        order = np.argsort(gen_owner, kind="stable")
+        gens = np.concatenate([gens, np.array(kept, dtype=np.int8).reshape(-1, n)])[order]
+        gen_owner = gen_owner[order]
+    gen_starts = np.searchsorted(gen_owner, np.arange(count + 1))
     placed_last = np.zeros(count, dtype=bool)
     if n:
         placed_last[owner[leaves[:, -1] == n - 1]] = True
-    return forms, placed_last
+    return canon, gens, gen_starts, placed_last, labellings
 
 
 def canonical_form(g: Graph, colors: list[int] | None = None) -> CanonicalForm:
@@ -463,7 +479,8 @@ def canonical_form(g: Graph, colors: list[int] | None = None) -> CanonicalForm:
 
     ``colors``, if given, must be the stable refinement of g
     (``_refine(adjacency_bits([g.adj]))[0]`` as a list); it saves refining
-    again.  This is ``_canonical_forms`` on a stack of one.
+    again.  This is ``_canonical_forms`` on a stack of one, and the only
+    place that builds a ``CanonicalForm``.
     """
     if g.n > CANONICAL_CEILING:
         raise OrderTooLarge(
@@ -472,7 +489,9 @@ def canonical_form(g: Graph, colors: list[int] | None = None) -> CanonicalForm:
     rows = np.array([g.adj], dtype=np.int64)
     a = adjacency_bits(rows)
     stack = _refine(a) if colors is None else np.array([colors], dtype=np.int64)
-    return _canonical_forms(rows, a, stack)[0][0]
+    canon, gens, _, _, labellings = _canonical_forms(rows, a, stack)
+    h = Graph(g.n, tuple(canon[0].tolist()))
+    return CanonicalForm(h, graph6_encode(h), tuple(map(tuple, gens.tolist())), tuple(labellings[0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +518,25 @@ def graph6_encode(g: Graph) -> str:
         word |= (g.adj[j] & ((1 << j) - 1)) << off
         off += j
     return _graph6_head(g.n) + "".join(chr(63 + _REVERSED6[word >> s & 63]) for s in range(0, off, 6))
+
+
+def _graph6_order(rows: np.ndarray) -> np.ndarray:
+    """The permutation that sorts a stack of order-n graphs, given as an
+    (N, n) array of neighbour masks with 2 <= n <= 17, by graph6 code.
+
+    At a fixed order the codes compare like their bit strings, and column j
+    of the bit string is row j's low j bits, vertex 0 first.  Each column
+    is read into a uint16 as its own bit string, and the columns are
+    lexsorted, column 1 first.
+    """
+    columns = []
+    for j in range(rows.shape[1] - 1, 0, -1):
+        row = rows[:, j].astype(np.uint16)
+        key = np.zeros(len(rows), dtype=np.uint16)
+        for i in range(j):
+            key = key << 1 | (row >> i & 1)
+        columns.append(key)
+    return np.lexsort(columns)
 
 
 def graph6_decode(line: str) -> Graph:

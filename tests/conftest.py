@@ -2,11 +2,12 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from starfree import search
 from starfree.enumeration import EnumerationCache
-from starfree.graphs import Graph, canonical_form, from_edges
+from starfree.graphs import Graph, _canonical_forms, _refine, adjacency_bits, from_edges, graph6_encode
 
 
 @pytest.fixture(scope="session")
@@ -81,12 +82,33 @@ def all_labeled_graphs(n: int):
         yield from_edges(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
 
 
-def labeled_census(n: int) -> dict:
-    """Labeled-enumeration-plus-dedup oracle: canonical code -> representative."""
-    reps = {}
-    for g in all_labeled_graphs(n):
-        reps.setdefault(canonical_form(g).code, g)
-    return reps
+def labeled_rows(n: int) -> np.ndarray:
+    """Every labeled graph on n vertices as one (2^C(n,2), n) array of
+    neighbour masks, in the order of ``all_labeled_graphs``."""
+    pairs = list(itertools.combinations(range(n), 2))
+    edge_sets = np.arange(1 << len(pairs))
+    rows = np.zeros((len(edge_sets), n), dtype=np.int64)
+    for k, (u, v) in enumerate(pairs):
+        on = edge_sets >> k & 1
+        rows[:, u] |= on << v
+        rows[:, v] |= on << u
+    return rows
+
+
+def canonical_rows(rows: np.ndarray) -> np.ndarray:
+    """The canonical neighbour masks of each graph of an (N, n) array,
+    labelled in stacks of 4096 by the batched pass ``graphs._canonical_forms``."""
+    out = [np.empty((0, rows.shape[1]), dtype=np.int64)]
+    for start in range(0, len(rows), 4096):
+        part = rows[start:start + 4096]
+        a = adjacency_bits(part)
+        out.append(_canonical_forms(part, a, _refine(a))[0])
+    return np.concatenate(out)
+
+
+def level_codes(level) -> list[str]:
+    """The graph6 code of each graph of an enumeration level, in level order."""
+    return [graph6_encode(g) for g in level.graphs()]
 
 
 def brute_min_cols(g: Graph) -> tuple:

@@ -1,13 +1,17 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import starfree.enumeration as enumeration_module
+import starfree.graphs as graphs_module
 from conftest import (
     Unbuildable,
-    all_labeled_graphs,
+    canonical_rows,
     group_closure,
+    labeled_rows,
+    level_codes,
     reference_colors,
     reference_min_code_search,
     reference_orbit_ids,
@@ -34,7 +38,6 @@ from starfree.graphs import (
     _twin_swaps,
     adjacency_bits,
     canonical_form,
-    graph6_encode,
     is_bipartite,
     is_connected,
     relabel,
@@ -42,12 +45,11 @@ from starfree.graphs import (
 
 
 def census_counts(n: int) -> dict:
-    """Labeled-enumeration-plus-dedup oracle, per class."""
-    reps = {}
-    for g in all_labeled_graphs(n):
-        reps.setdefault(canonical_form(g).code, g)
+    """Labeled-enumeration-plus-dedup oracle, per class: every labeled graph
+    of order n is labelled, and each distinct canonical graph counted once."""
     out = {c: 0 for c in GraphClass}
-    for g in reps.values():
+    for row in np.unique(canonical_rows(labeled_rows(n)), axis=0).tolist():
+        g = Graph(n, tuple(row))
         bip = is_bipartite(g) is not None
         conn = is_connected(g)
         out[GraphClass.ALL] += 1
@@ -98,6 +100,17 @@ LEVEL_DIGESTS = {
     ),
 }
 
+#: The same digest for the levels that only the slow tier builds; the OEIS
+#: counts alone do not pin their codes.
+BIG_LEVEL_DIGESTS = {
+    ("all", 9): "84c0f2b683ec39628c405a8c2a125d40dceb0097d2e6c3c61d3cfc041e94d11b",
+    ("bipartite", 11): "72272f1b60629ab94152be42f9e8d740d99e94270577de74640fc70365d913d2",
+}
+
+
+def digest(level) -> str:
+    return hashlib.sha256("\n".join(level_codes(level)).encode()).hexdigest()
+
 
 def count(n: int, cls: GraphClass, cache: EnumerationCache) -> int:
     return sum(1 for _ in enumerate_graphs(n, cls, cache))
@@ -135,20 +148,24 @@ class TestCounts:
     def test_stream_sorted_by_code(self, cache):
         codes = [canonical_form(g).code for g in enumerate_graphs(5, GraphClass.ALL, cache)]
         assert codes == sorted(codes)
-        # each level's code is the graph6 of its canonical graph, and the
-        # level is strictly increasing in it
+        # each level holds canonical graphs, and is strictly increasing in
+        # their graph6 codes
         for base, top in (("all", 8), ("bipartite", 10)):
             for n in range(1, top + 1):
                 level = cache.level(base, n)
-                codes = [entry.code for entry in level]
-                assert codes == [graph6_encode(entry.graph) for entry in level]
+                assert np.array_equal(canonical_rows(level.rows.astype(np.int64)), level.rows), (base, n)
+                codes = level_codes(level)
                 assert all(a < b for a, b in zip(codes, codes[1:])), (base, n)
 
     def test_levels_pinned(self, cache):
         for base, digests in LEVEL_DIGESTS.items():
             for n, want in enumerate(digests, start=1):
-                codes = "\n".join(entry.code for entry in cache.level(base, n))
-                assert hashlib.sha256(codes.encode()).hexdigest() == want, (base, n)
+                assert digest(cache.level(base, n)) == want, (base, n)
+
+    @pytest.mark.slow
+    def test_big_levels_pinned(self, cache):
+        for (base, n), want in BIG_LEVEL_DIGESTS.items():
+            assert digest(cache.level(base, n)) == want, (base, n)
 
     def test_class_predicates_respected(self, cache):
         for g in enumerate_graphs(6, GraphClass.CONNECTED_BIPARTITE, cache):
@@ -189,21 +206,22 @@ class TestFastPaths:
         for base, top in ORACLE_PARENTS:
             for m in range(1, top + 1):
                 masks, bits = mask_bits(m)
-                for entry in cache.level(base, m):
-                    if not entry.generators:
+                level = cache.level(base, m)
+                for i, g in enumerate(level.graphs()):
+                    generators = level.generators(i)
+                    if not len(generators):
                         continue
-                    allowed = _bipartite_masks(entry.graph, masks) if base == "bipartite" else None
+                    allowed = _bipartite_masks(g, masks) if base == "bipartite" else None
                     pool = masks if allowed is None else masks[allowed]
-                    want = reference_orbit_reps(m, entry.generators, pool.tolist())
-                    assert _mask_orbit_reps(bits, entry.generators, allowed).tolist() == want
+                    want = reference_orbit_reps(m, generators.tolist(), pool.tolist())
+                    assert _mask_orbit_reps(bits, generators, allowed).tolist() == want
                     parents += 1
         assert parents > 100
 
     def test_bipartite_masks_keep_the_child_bipartite(self, cache):
         for m in range(1, 8):
             masks, _ = mask_bits(m)
-            for entry in cache.level("bipartite", m):
-                g = entry.graph
+            for g in cache.level("bipartite", m).graphs():
                 want = [is_bipartite(Graph(m + 1, tuple(
                     row | (mask >> v & 1) << m for v, row in enumerate(g.adj)) + (mask,))) is not None
                     for mask in range(1 << m)]
@@ -219,24 +237,28 @@ class TestFastPaths:
             colors = _refine(a)
             top = colors[:, -1] == colors.max(axis=1)
             rows, a, colors = rows[top], a[top], colors[top]
-            forms, placed_last = _canonical_forms(rows, a, colors)
+            canon_rows, gens, starts, placed_last, labellings = _canonical_forms(rows, a, colors)
             leaves, owner, twin = _min_code_leaves(rows, a, colors)
             leaf_counts = np.bincount(owner, minlength=len(rows)).tolist()
-            for row, cells, swaps, cf, accept, count in zip(
-                rows.tolist(), colors.tolist(), _twin_swaps(twin), forms, placed_last.tolist(), leaf_counts
-            ):
+            swaps, swap_owner = _twin_swaps(twin)
+            swaps = swaps.tolist()
+            for k, (row, cells, canon_row, got_labelling, accept, count) in enumerate(zip(
+                rows.tolist(), colors.tolist(), canon_rows.tolist(), labellings.tolist(),
+                placed_last.tolist(), leaf_counts,
+            )):
                 several += count > 1
                 one += count == 1
                 g = Graph(n, tuple(row))
-                order, gens = reference_min_code_search(n, g.adj, cells, swaps)
+                seeds = [swaps[s] for s in np.flatnonzero(swap_owner == k)]
+                order, want_gens = reference_min_code_search(n, g.adj, cells, seeds)
                 labelling = tuple(order.index(v) for v in range(n))
                 canon = relabel(g, labelling)
-                want = [tuple(labelling[sigma[order[i]]] for i in range(n)) for sigma in gens]
-                assert (cf.graph, cf.code, cf.labelling) == (canon, graph6_encode(canon), labelling)
+                want = [tuple(labelling[sigma[order[i]]] for i in range(n)) for sigma in want_gens]
+                assert (tuple(canon_row), tuple(got_labelling)) == (canon.adj, labelling)
+                got = list(map(tuple, gens[starts[k]:starts[k + 1]].tolist()))
                 # equal generator sets skip the closures, which are slow for
                 # the large twin groups
-                assert set(cf.generators) == set(want) or (
-                    group_closure(n, cf.generators) == group_closure(n, want))
+                assert set(got) == set(want) or group_closure(n, got) == group_closure(n, want)
                 orbit = reference_orbit_ids(n, want)
                 assert accept == (orbit[labelling[-1]] == orbit[n - 1])
         assert several > 100 and one > 100
@@ -244,17 +266,16 @@ class TestFastPaths:
     def test_rejected_children_are_already_in_the_level(self, cache):
         # a child whose new vertex is not in the orbit of the vertex placed
         # last is rejected; its class is accepted from another parent
-        level = {entry.code for entry in cache.level("all", 8)}
+        level = set(map(tuple, cache.level("all", 8).rows.tolist()))
         rejected = 0
         for rows in _children(cache.level("all", 7), False):
             a = adjacency_bits(rows)
             colors = _refine(a)
             top = colors[:, -1] == colors.max(axis=1)
-            forms, placed_last = _canonical_forms(rows[top], a[top], colors[top])
-            for cf, accept in zip(forms, placed_last):
-                if not accept:
-                    rejected += 1
-                    assert cf.code in level
+            canon, _, _, placed_last, _ = _canonical_forms(rows[top], a[top], colors[top])
+            for row in canon[~placed_last].tolist():
+                rejected += 1
+                assert tuple(row) in level
         assert rejected > 0
 
     def test_block_size_does_not_change_a_level(self, cache, monkeypatch):
@@ -262,7 +283,35 @@ class TestFastPaths:
             monkeypatch.setattr(enumeration_module, "_BLOCK", block)
             for base, top in ORACLE_PARENTS:
                 got = _extend(cache.level(base, top), base == "bipartite")
-                assert got == cache.level(base, top + 1), (block, base)
+                want = cache.level(base, top + 1)
+                for field in ("rows", "gens", "starts"):
+                    assert np.array_equal(getattr(got, field), getattr(want, field)), (block, base, field)
+
+    def test_level_is_held_in_arrays(self, cache):
+        # a level keeps masks and generators only, at most 64 bytes a class
+        # (tracemalloc counts numpy buffers)
+        parents = cache.level("all", 7)
+        tracemalloc.start()
+        try:
+            level = _extend(parents, False)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(level) == OEIS[GraphClass.ALL][7]
+        assert retained <= 64 * len(level), retained / len(level)
+
+    def test_level_build_encodes_no_graph6(self, cache, monkeypatch):
+        # graph6 is written only for codes that are output, so neither a
+        # build nor the stream of its graphs encodes one
+        def refuse(g):
+            raise AssertionError("graph6_encode called during a level build")
+
+        monkeypatch.setattr(graphs_module, "graph6_encode", refuse)
+        monkeypatch.setattr(enumeration_module, "graph6_encode", refuse, raising=False)
+        for base, top in ORACLE_PARENTS:
+            want = len(cache.level(base, top + 1))
+            assert len(_extend(cache.level(base, top), base == "bipartite")) == want
+            assert sum(1 for _ in enumerate_graphs(top + 1, GraphClass(base), cache)) == want
 
 
 class TestLimits:
