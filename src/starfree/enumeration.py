@@ -14,32 +14,34 @@ must lie in the highest colour cell of the child's equitable partition.
 Only the children that pass both are labelled, starting from that
 partition instead of refining again.
 
-The children that pass the degree pre-test are collected across parents
-into blocks of at most ``_BLOCK``, which bounds the working memory.  Each
-block's adjacency matrices are unpacked in one numpy step, refined in one
-batched call (``graphs._refine``, the only refinement), top-cell tested by
-one vectorised comparison, and labelled by one breadth-first pass
+A level is its canonical graphs and nothing else: one (N, n) uint16 array
+of canonical neighbour masks, sorted by graph6 code by lexsorting the
+columns of the graph6 bit string (``graphs._graph6_order``), so no code is
+stored.  ``enumerate_graphs`` builds each ``Graph`` as it yields it, and
+graph6 is written only for the codes that are output.
+
+A level is extended a block of ``_BLOCK`` parents at a time.  The parents'
+automorphism generators are made for that block only
+(``graphs._automorphism_generators``): canonical augmentation needs a
+parent's group only while that parent is extended, so no child's is ever
+made or kept.  Each parent's attachment masks are pre-tested (the degree
+test, and for the bipartite tree the bipartition test; both keep whole
+orbits), then reduced to one representative per orbit of the parent's
+group by min-label propagation over tables of mask images.  By McKay's
+theorem (B. D. McKay, "Isomorph-free exhaustive generation", J. Algorithms
+26 (1998), section 4) the accepted children of one parent are then pairwise
+non-isomorphic, and each class is accepted from one parent class only, so
+every accepted child is kept.
+
+The children are collected across parents into blocks of at most
+``_BLOCK``, which bounds the working memory.  Each block's adjacency
+matrices are unpacked in one numpy step, refined in one batched call
+(``graphs._refine``, the only refinement), top-cell tested by one
+vectorised comparison, and labelled by one breadth-first pass
 (``graphs._canonical_forms``, the only labelling).  The pass keeps every
 minimal-code ordering that places each twin class lowest vertex first, so
 a child is accepted iff one of them places its new vertex, the highest,
 last.  Blocks change no result: the level is sorted by code.
-
-A level (``Level``) is held as arrays and builds no object per graph: an
-(N, n) uint16 array of canonical neighbour masks and an int8 table of
-automorphism generators with per-graph offsets, both in graph6 order.  It
-is sorted by lexsorting the columns of the graph6 bit string
-(``graphs._graph6_order``), so no code is stored.  ``enumerate_graphs``
-builds each ``Graph`` as it yields it, and graph6 is written only for the
-codes that are output.
-
-Attachment masks are first reduced to one representative per orbit of the
-parent's full automorphism group, over numpy arrays of all 2^n masks: each
-generator gets a table of mask images, and min-label propagation names each
-orbit by its smallest mask.  By McKay's theorem (B. D. McKay,
-"Isomorph-free exhaustive generation", J. Algorithms 26 (1998), section 4)
-the accepted children of one parent are then pairwise non-isomorphic, and
-each class is accepted from one parent class only, so every accepted child
-is kept.
 
 Bipartite graphs are closed under vertex deletion, so the bipartite classes
 are generated by the same augmentation restricted to bipartite parents and
@@ -49,7 +51,6 @@ filtered at emission instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
@@ -58,6 +59,7 @@ import numpy as np
 from .errors import OrderTooLarge, ParamOutOfRange
 from .graphs import (
     Graph,
+    _automorphism_generators,
     _canonical_forms,
     _graph6_order,
     _refine,
@@ -74,9 +76,10 @@ from .graphs import (
 ALL_CEILING = 9
 BIPARTITE_CEILING = 12
 
-# _extend refines and pre-tests at most this many children at a time, which
-# bounds its working memory; with blocks of 64 to 4096 the all-8 and
-# bipartite-10 levels built in the same time within noise (2-vCPU VM)
+# _extend takes the generators of at most this many parents, and refines and
+# labels at most this many children, at a time, which bounds its working
+# memory; against 256, blocks of 64 built the all-8 and bipartite-10 levels
+# in about 1.6x the time, and blocks of 1024 or 4096 in about 0.85x (2-vCPU VM)
 _BLOCK = 256
 
 
@@ -108,58 +111,28 @@ def parse_graph_class(text: str) -> GraphClass:
         ) from None
 
 
-@dataclass(frozen=True, eq=False)
-class Level:
-    """The canonical graphs of one order, sorted by graph6 code, as arrays.
+def _mask_orbit_reps(masks: np.ndarray, bits: np.ndarray, generators: np.ndarray) -> np.ndarray:
+    """One mask per orbit of the parent's automorphism group among the
+    increasing ``masks``, a union of orbits: the orbit's smallest, in
+    increasing order.
 
-    ``rows[i]`` holds graph i's canonical neighbour masks, and its
-    automorphism generators are the int8 permutations
-    ``gens[starts[i]:starts[i + 1]]``.
-    """
-
-    rows: np.ndarray  # (N, n) uint16
-    gens: np.ndarray  # (G, n) int8
-    starts: np.ndarray  # (N + 1,) int64
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def generators(self, i: int) -> np.ndarray:
-        return self.gens[self.starts[i]:self.starts[i + 1]]
-
-    def graphs(self) -> Iterator[Graph]:
-        """Each graph, built as it is yielded."""
-        n = self.rows.shape[1]
-        for row in self.rows.tolist():
-            yield Graph(n, tuple(row))
-
-
-def _mask_orbit_reps(bits: np.ndarray, generators, allowed: np.ndarray | None) -> np.ndarray:
-    """One attachment mask per orbit of the parent's automorphism group: the
-    orbit's smallest, in increasing order.
-
-    ``bits[mask]`` is the 0/1 row of mask's bits, so ``bits @ (1 << sigma)``
-    is the table of every mask's image under sigma.  Each mask holds a label
+    ``bits[mask]`` is the 0/1 row of mask's bits, so ``bits[masks] @ (1 <<
+    sigma)`` lists each mask's image under sigma.  Each mask holds a label
     in its orbit, at most itself, and takes the least label among its images
     (then its label's label) until nothing moves.  No label then exceeds the
     labels of its images, so labels are constant along every generator's
-    cycles, hence on each orbit: the orbit's smallest mask.  An automorphism
-    maps each component and its two colour classes onto a component and its
-    classes, so the bipartite masks (``allowed``) are a union of orbits.
+    cycles, hence on each orbit: the orbit's smallest mask.
     """
-    label = np.arange(len(bits))
-    if len(generators):
-        images = bits @ (1 << generators.T.astype(np.int64))
-        while True:
-            low = np.minimum(label, label[images].min(axis=1))
-            low = low[low]
-            if np.array_equal(low, label):
-                break
-            label = low
-    keep = label == np.arange(len(bits))
-    if allowed is not None:
-        keep &= allowed
-    return np.flatnonzero(keep)
+    if not len(generators):
+        return masks
+    images = np.searchsorted(masks, bits[masks] @ (1 << generators.T.astype(np.int64)))
+    label = np.arange(len(masks))
+    while True:
+        low = np.minimum(label, label[images].min(axis=1))
+        low = low[low]
+        if np.array_equal(low, label):
+            return masks[label == np.arange(len(masks))]
+        label = low
 
 
 def _bipartite_masks(g: Graph, masks: np.ndarray) -> np.ndarray:
@@ -177,65 +150,60 @@ def _bipartite_masks(g: Graph, masks: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _children(parents: Level, bipartite_only: bool) -> Iterator[np.ndarray]:
+def _children(parents: np.ndarray, bipartite_only: bool) -> Iterator[np.ndarray]:
     """The children that pass the degree pre-test, as blocks of at most
     _BLOCK rows of neighbour masks (parent order, then mask order)."""
-    m = parents.rows.shape[1]
+    m = parents.shape[1]
     masks = np.arange(1 << m)
     bits = masks[:, None] >> np.arange(m) & 1
     sizes = bits.sum(axis=1)
-    deg = adjacency_bits(parents.rows).sum(axis=2)
+    deg = adjacency_bits(parents).sum(axis=2)
     top = deg.max(axis=1)
     at_top = (deg == top[:, None]) @ (1 << np.arange(m))
+    parents = parents.astype(np.int64)
     pending = np.empty((0, m + 1), dtype=np.int64)
-    for i, row in enumerate(parents.rows.astype(np.int64)):
-        allowed = _bipartite_masks(Graph(m, tuple(row.tolist())), masks) if bipartite_only else None
-        reps = _mask_orbit_reps(bits, parents.generators(i), allowed)
-        # degree pre-test: the child's largest old degree is top, plus one
-        # if the new vertex is adjacent to a vertex of degree top
-        reps = reps[sizes[reps] >= top[i] + ((reps & at_top[i]) != 0)]
-        rows = np.concatenate([row | bits[reps] << m, reps[:, None]], axis=1)
-        pending = np.concatenate([pending, rows])
-        while len(pending) >= _BLOCK:
-            yield pending[:_BLOCK]
-            pending = pending[_BLOCK:]
+    for start in range(0, len(parents), _BLOCK):
+        block = parents[start:start + _BLOCK]
+        for i, (row, generators) in enumerate(zip(block, _automorphism_generators(block)), start):
+            # degree pre-test: the child's largest old degree is top, plus
+            # one if the new vertex is adjacent to a vertex of degree top.
+            # Both tests keep whole orbits: an automorphism keeps degrees,
+            # and maps each component's colour classes onto a component's
+            keep = sizes >= top[i] + ((masks & at_top[i]) != 0)
+            if bipartite_only:
+                keep &= _bipartite_masks(Graph(m, tuple(row.tolist())), masks)
+            reps = _mask_orbit_reps(masks[keep], bits, generators)
+            rows = np.concatenate([row | bits[reps] << m, reps[:, None]], axis=1)
+            pending = np.concatenate([pending, rows])
+            while len(pending) >= _BLOCK:
+                yield pending[:_BLOCK]
+                pending = pending[_BLOCK:]
     if len(pending):
         yield pending
 
 
-def _extend(parents: Level, bipartite_only: bool) -> Level:
-    rows, gens, counts = [], [], []
+def _extend(parents: np.ndarray, bipartite_only: bool) -> np.ndarray:
+    rows = []
     for block in _children(parents, bipartite_only):
         a = adjacency_bits(block)
         colors = _refine(a)
         top = colors[:, -1] == colors.max(axis=1)  # top-cell pre-test
-        canon, block_gens, starts, accept, _ = _canonical_forms(block[top], a[top], colors[top])
-        per_graph = np.diff(starts)
+        canon, accept, _ = _canonical_forms(block[top], a[top], colors[top])
         rows.append(canon[accept].astype(np.uint16))
-        gens.append(block_gens[np.repeat(accept, per_graph)])
-        # at most n - 1 swaps and log2(n!) coset maps a graph: a uint8
-        counts.append(per_graph[accept].astype(np.uint8))
     rows = np.concatenate(rows)
-    order = _graph6_order(rows)
-    rows = rows[order]
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    counts = np.concatenate(counts)
-    # each graph's generators move with it and keep their own order
-    gens = np.concatenate(gens)[np.argsort(np.repeat(rank, counts), kind="stable")]
-    return Level(rows, gens, np.concatenate([[0], np.cumsum(counts[order], dtype=np.int64)]))
+    return rows[_graph6_order(rows)]
 
 
 class EnumerationCache:
     """Reusable level store so repeated scans share the augmentation work."""
 
     def __init__(self):
-        cf = canonical_form(Graph(1, (0,)))
-        base = Level(np.array([cf.graph.adj], dtype=np.uint16),
-                     np.array(cf.generators, dtype=np.int8).reshape(-1, 1), np.array([0, len(cf.generators)]))
-        self._levels: dict[str, list[Level]] = {"all": [base], "bipartite": [base]}
+        base = np.array([canonical_form(Graph(1, (0,))).graph.adj], dtype=np.uint16)
+        self._levels: dict[str, list[np.ndarray]] = {"all": [base], "bipartite": [base]}
 
-    def level(self, base: str, n: int) -> Level:
+    def level(self, base: str, n: int) -> np.ndarray:
+        """The canonical neighbour masks of the order-n graphs, (N, n) uint16
+        in graph6 order."""
         levels = self._levels[base]
         while len(levels) < n:
             levels.append(_extend(levels[-1], bipartite_only=(base == "bipartite")))
@@ -263,7 +231,8 @@ def enumerate_graphs(
     if cache is None:
         cache = EnumerationCache()
     base = "bipartite" if graph_class.bipartite_only else "all"
-    for g in cache.level(base, n).graphs():
+    for row in cache.level(base, n).tolist():
+        g = Graph(n, tuple(row))
         if graph_class.connected_only and not is_connected(g):
             continue
         yield g

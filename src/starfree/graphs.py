@@ -17,14 +17,17 @@ Labelling has one path.  One breadth-first pass (``_min_code_leaves``)
 walks the labelling tree for a whole stack of same-order graphs, keeping at
 each depth every prefix of minimal code that places each twin class
 (N(u) - v = N(v) - u) lowest vertex first.  Its leaves give each graph's
-canonical form, its automorphism generators and the orbit of the vertex
-placed last (``_canonical_forms``), all as arrays: the canonical neighbour
-masks, one int8 table of generators with per-graph offsets, and the
-labellings.  ``canonical_form`` is the pass on a stack of one, and the only
-place that builds a ``CanonicalForm`` and its graph6 string; a stack is
-sorted by code without writing one (``_graph6_order``).  Walking the tree
-breadth first is the approach of Traces (B. D. McKay and A. Piperno,
-"Practical graph isomorphism, II", J. Symb. Comput. 60 (2014)).
+canonical neighbour masks, its labelling and whether the vertex placed
+last is in the orbit of the highest vertex (``_canonical_forms``), as
+arrays.  Automorphism generators are made apart, only for the graphs that
+need them: the same pass on a stack of canonical graphs
+(``_automorphism_generators``), whose leaves are then automorphisms.  The
+enumerator asks for them for each parent it extends, never for a child.
+``canonical_form`` is both on a stack of one, and the only place that
+builds a ``CanonicalForm`` and its graph6 string; a stack is sorted by code
+without writing one (``_graph6_order``).  Walking the tree breadth first is
+the approach of Traces (B. D. McKay and A. Piperno, "Practical graph
+isomorphism, II", J. Symb. Comput. 60 (2014)).
 
 Rows leave the bitmask form in one place: ``adjacency_bits`` unpacks a stack
 of rows into 0/1 matrices, for the spectra and for the refinement.  The
@@ -80,10 +83,10 @@ class CanonicalForm:
     ``labelling`` maps each input vertex to its canonical position, so
     ``relabel(g, labelling) == graph``.  ``generators`` are permutations
     (tuples mapping vertex -> image) of the canonical graph that generate its
-    whole automorphism group: the twin swaps, then one map between two
-    minimal-code orderings per coset the swaps leave ungenerated.  The
-    enumerator takes the same generators, as an int8 table, straight from
-    ``_canonical_forms`` to prune equivalent vertex augmentations.
+    whole automorphism group: the twin swaps, then one minimal-code ordering
+    per coset the swaps leave ungenerated.  The enumerator takes the same
+    generators, as int8 arrays, from ``_automorphism_generators`` for each
+    parent it extends, to prune equivalent vertex augmentations.
     """
 
     graph: Graph
@@ -153,7 +156,9 @@ def relabel(g: Graph, perm: tuple[int, ...]) -> Graph:
     for v in range(g.n):
         row = 0
         old = g.adj[v]
-        # hand-rolled: through _bits, relabelling level 8 took 1.05-1.6x as long (2-vCPU VM)
+        # hand-rolled: through _bits, relabelling the 105 family members of
+        # orders 16-40 that the extremal benchmark builds took 1.16x as long
+        # (3.0 vs 2.6 ms, 2-vCPU VM)
         while old:
             u = (old & -old).bit_length() - 1
             row |= 1 << perm[u]
@@ -422,65 +427,65 @@ def _canonical_forms(rows: np.ndarray, a: np.ndarray, colors: np.ndarray):
     ``_min_code_leaves``), as arrays, and whether each graph's vertex n - 1
     lies in the automorphism orbit of the vertex placed last.
 
-    Returns (canon, gens, starts, placed_last, labellings).  canon[i] holds
-    graph i's canonical neighbour masks and labellings[i] maps its vertices
-    to their canonical positions; both come from its first leaf.  Its
-    generators are the int8 rows gens[starts[i]:starts[i + 1]]: the twin
-    swaps (``_twin_swaps``), then the maps from the first leaf onto the
-    others that ``_coset_generators`` keeps.  Every coset of the twin group
-    has a leaf, so they generate the whole group, and a graph with one leaf
-    has no coset to add.  A leaf places each twin class lowest vertex first,
-    so it places last the highest vertex of the last class; vertex n - 1,
-    the highest of all, is in the orbit of the vertex placed last iff some
-    leaf places it last.
+    Returns (canon, placed_last, labellings).  canon[i] holds graph i's
+    canonical neighbour masks and labellings[i] maps its vertices to their
+    canonical positions; both come from its first leaf.  A leaf places each
+    twin class lowest vertex first, so it places last the highest vertex of
+    the last class; vertex n - 1, the highest of all, is in the orbit of
+    the vertex placed last iff some leaf places it last.
     """
     count, n = colors.shape
-    leaves, owner, twin = _min_code_leaves(rows, a, colors)
+    leaves, owner, _ = _min_code_leaves(rows, a, colors)
+    first = leaves[np.flatnonzero(np.diff(owner, prepend=-1))]
+    square = (np.arange(count)[:, None, None], first[:, :, None], first[:, None, :])
+    canon = a[square].astype(np.int64) @ (np.int64(1) << np.arange(n, dtype=np.int64))
+    placed_last = np.zeros(count, dtype=bool)
+    if n:
+        placed_last[owner[leaves[:, -1] == n - 1]] = True
+    return canon, placed_last, np.argsort(first, axis=1)
+
+
+def _automorphism_generators(canon: np.ndarray) -> list[np.ndarray]:
+    """Generators of the automorphism group of each canonical graph of an
+    (N, n) stack of neighbour masks, as one (k, n) int8 array per graph.
+
+    The identity ordering of a canonical graph has minimal code and places
+    each twin class lowest vertex first, so it is the graph's first leaf,
+    and every other leaf (``_min_code_leaves``) is itself an automorphism.
+    A graph's generators are its twin swaps (``_twin_swaps``), then the
+    leaves that ``_coset_generators`` keeps.  Every coset of the twin group
+    has a leaf, so they generate the whole group, and a graph with one leaf
+    has no coset to add.
+    """
+    count, n = canon.shape
+    a = adjacency_bits(canon)
+    leaves, owner, twin = _min_code_leaves(canon, a, _refine(a))
+    swaps, swap_owner = _twin_swaps(twin)
+    gens = np.split(swaps, np.searchsorted(swap_owner, np.arange(1, count)))
     starts = np.flatnonzero(np.diff(owner, prepend=-1))
     sizes = np.diff(starts, append=len(owner))
-    first = leaves[starts]
-    at = np.arange(count)[:, None, None]
-    square = (at, first[:, :, None], first[:, None, :])
-    canon = a[square].astype(np.int64) @ (np.int64(1) << np.arange(n, dtype=np.int64))
-    labellings = np.argsort(first, axis=1)
-    canon_twin = twin[square]
-    gens, gen_owner = _twin_swaps(canon_twin)
     tied = np.flatnonzero(sizes > 1)
     if len(tied):
         on_tied = np.repeat(sizes > 1, sizes)
-        # maps[k] takes canonical vertex p to the canonical label of leaf k's
-        # vertex at position p: the identity on each graph's first leaf
-        maps = np.take_along_axis(labellings[owner[on_tied]], leaves[on_tied], axis=1)
-        # the lowest twin of each canonical vertex: the count of non-twins
-        # below its first twin
-        classes = (canon_twin[tied].cumsum(axis=2) == 0).sum(axis=2)
+        # the lowest twin of each vertex: the count of non-twins below its
+        # first twin
+        classes = (twin[tied].cumsum(axis=2) == 0).sum(axis=2)
+        maps = leaves[on_tied]
         cosets = np.take_along_axis(np.repeat(classes, sizes[tied], axis=0), maps, axis=1).tolist()
         maps = maps.tolist()
-        kept, kept_owner = [], []
         end = 0
         for graph, size in zip(tied.tolist(), sizes[tied].tolist()):
             start, end = end, end + size
             found = _coset_generators(maps[start:end], cosets[start:end])
-            kept += found
-            kept_owner += [graph] * len(found)
-        gen_owner = np.concatenate([gen_owner, kept_owner]).astype(np.int64)
-        order = np.argsort(gen_owner, kind="stable")
-        gens = np.concatenate([gens, np.array(kept, dtype=np.int8).reshape(-1, n)])[order]
-        gen_owner = gen_owner[order]
-    gen_starts = np.searchsorted(gen_owner, np.arange(count + 1))
-    placed_last = np.zeros(count, dtype=bool)
-    if n:
-        placed_last[owner[leaves[:, -1] == n - 1]] = True
-    return canon, gens, gen_starts, placed_last, labellings
+            gens[graph] = np.concatenate([gens[graph], np.array(found, dtype=np.int8).reshape(-1, n)])
+    return gens
 
 
-def canonical_form(g: Graph, colors: list[int] | None = None) -> CanonicalForm:
+def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical relabelling, code, and automorphism generators.
 
-    ``colors``, if given, must be the stable refinement of g
-    (``_refine(adjacency_bits([g.adj]))[0]`` as a list); it saves refining
-    again.  This is ``_canonical_forms`` on a stack of one, and the only
-    place that builds a ``CanonicalForm``.
+    This is ``_canonical_forms`` and ``_automorphism_generators`` on a stack
+    of one, and the only place that builds a ``CanonicalForm``.
     """
     if g.n > CANONICAL_CEILING:
         raise OrderTooLarge(
@@ -488,9 +493,9 @@ def canonical_form(g: Graph, colors: list[int] | None = None) -> CanonicalForm:
         )
     rows = np.array([g.adj], dtype=np.int64)
     a = adjacency_bits(rows)
-    stack = _refine(a) if colors is None else np.array([colors], dtype=np.int64)
-    canon, gens, _, _, labellings = _canonical_forms(rows, a, stack)
+    canon, _, labellings = _canonical_forms(rows, a, _refine(a))
     h = Graph(g.n, tuple(canon[0].tolist()))
+    gens = _automorphism_generators(canon)[0]
     return CanonicalForm(h, graph6_encode(h), tuple(map(tuple, gens.tolist())), tuple(labellings[0].tolist()))
 
 

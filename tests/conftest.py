@@ -106,9 +106,9 @@ def canonical_rows(rows: np.ndarray) -> np.ndarray:
     return np.concatenate(out)
 
 
-def level_codes(level) -> list[str]:
+def level_codes(level: np.ndarray) -> list[str]:
     """The graph6 code of each graph of an enumeration level, in level order."""
-    return [graph6_encode(g) for g in level.graphs()]
+    return [graph6_encode(Graph(level.shape[1], tuple(row))) for row in level.tolist()]
 
 
 def brute_min_cols(g: Graph) -> tuple:

@@ -9,6 +9,7 @@ import starfree.graphs as graphs_module
 from conftest import (
     Unbuildable,
     canonical_rows,
+    count_calls,
     group_closure,
     labeled_rows,
     level_codes,
@@ -32,6 +33,7 @@ from starfree.enumeration import (
 from starfree.errors import OrderTooLarge, ParamOutOfRange
 from starfree.graphs import (
     Graph,
+    _automorphism_generators,
     _canonical_forms,
     _min_code_leaves,
     _refine,
@@ -153,7 +155,8 @@ class TestCounts:
         for base, top in (("all", 8), ("bipartite", 10)):
             for n in range(1, top + 1):
                 level = cache.level(base, n)
-                assert np.array_equal(canonical_rows(level.rows.astype(np.int64)), level.rows), (base, n)
+                assert level.dtype == np.uint16 and level.shape == (len(level), n), (base, n)
+                assert np.array_equal(canonical_rows(level.astype(np.int64)), level), (base, n)
                 codes = level_codes(level)
                 assert all(a < b for a, b in zip(codes, codes[1:])), (base, n)
 
@@ -184,6 +187,24 @@ def mask_bits(m: int):
     return masks, masks[:, None] >> np.arange(m) & 1
 
 
+def level_graphs(level: np.ndarray) -> list[Graph]:
+    return [Graph(level.shape[1], tuple(row)) for row in level.tolist()]
+
+
+def pretested_masks(g: Graph, bipartite_only: bool) -> list[int]:
+    """The masks whose new vertex has the largest degree in the child, and
+    that keep a bipartite parent bipartite: whole orbits of g's group."""
+    pool = []
+    for mask in range(1 << g.n):
+        child = [row | (mask >> v & 1) << g.n for v, row in enumerate(g.adj)] + [mask]
+        if mask.bit_count() < max(row.bit_count() for row in child):
+            continue
+        if bipartite_only and is_bipartite(Graph(g.n + 1, tuple(child))) is None:
+            continue
+        pool.append(mask)
+    return pool
+
+
 def pretested_children(cache):
     """(n, rows) per block of children that pass the degree pre-test."""
     for base, top in ORACLE_PARENTS:
@@ -205,23 +226,19 @@ class TestFastPaths:
         parents = 0
         for base, top in ORACLE_PARENTS:
             for m in range(1, top + 1):
-                masks, bits = mask_bits(m)
+                _, bits = mask_bits(m)
                 level = cache.level(base, m)
-                for i, g in enumerate(level.graphs()):
-                    generators = level.generators(i)
-                    if not len(generators):
-                        continue
-                    allowed = _bipartite_masks(g, masks) if base == "bipartite" else None
-                    pool = masks if allowed is None else masks[allowed]
-                    want = reference_orbit_reps(m, generators.tolist(), pool.tolist())
-                    assert _mask_orbit_reps(bits, generators, allowed).tolist() == want
-                    parents += 1
+                for g, generators in zip(level_graphs(level), _automorphism_generators(level)):
+                    pool = pretested_masks(g, base == "bipartite")
+                    want = reference_orbit_reps(m, generators.tolist(), pool)
+                    assert _mask_orbit_reps(np.array(pool, dtype=np.int64), bits, generators).tolist() == want
+                    parents += len(generators) > 0
         assert parents > 100
 
     def test_bipartite_masks_keep_the_child_bipartite(self, cache):
         for m in range(1, 8):
             masks, _ = mask_bits(m)
-            for g in cache.level("bipartite", m).graphs():
+            for g in level_graphs(cache.level("bipartite", m)):
                 want = [is_bipartite(Graph(m + 1, tuple(
                     row | (mask >> v & 1) << m for v, row in enumerate(g.adj)) + (mask,))) is not None
                     for mask in range(1 << m)]
@@ -237,14 +254,15 @@ class TestFastPaths:
             colors = _refine(a)
             top = colors[:, -1] == colors.max(axis=1)
             rows, a, colors = rows[top], a[top], colors[top]
-            canon_rows, gens, starts, placed_last, labellings = _canonical_forms(rows, a, colors)
+            canon_rows, placed_last, labellings = _canonical_forms(rows, a, colors)
+            gens = _automorphism_generators(canon_rows)
             leaves, owner, twin = _min_code_leaves(rows, a, colors)
             leaf_counts = np.bincount(owner, minlength=len(rows)).tolist()
             swaps, swap_owner = _twin_swaps(twin)
             swaps = swaps.tolist()
-            for k, (row, cells, canon_row, got_labelling, accept, count) in enumerate(zip(
+            for k, (row, cells, canon_row, got_labelling, accept, count, got) in enumerate(zip(
                 rows.tolist(), colors.tolist(), canon_rows.tolist(), labellings.tolist(),
-                placed_last.tolist(), leaf_counts,
+                placed_last.tolist(), leaf_counts, gens,
             )):
                 several += count > 1
                 one += count == 1
@@ -255,7 +273,7 @@ class TestFastPaths:
                 canon = relabel(g, labelling)
                 want = [tuple(labelling[sigma[order[i]]] for i in range(n)) for sigma in want_gens]
                 assert (tuple(canon_row), tuple(got_labelling)) == (canon.adj, labelling)
-                got = list(map(tuple, gens[starts[k]:starts[k + 1]].tolist()))
+                got = list(map(tuple, got.tolist()))
                 # equal generator sets skip the closures, which are slow for
                 # the large twin groups
                 assert set(got) == set(want) or group_closure(n, got) == group_closure(n, want)
@@ -266,13 +284,13 @@ class TestFastPaths:
     def test_rejected_children_are_already_in_the_level(self, cache):
         # a child whose new vertex is not in the orbit of the vertex placed
         # last is rejected; its class is accepted from another parent
-        level = set(map(tuple, cache.level("all", 8).rows.tolist()))
+        level = set(map(tuple, cache.level("all", 8).tolist()))
         rejected = 0
         for rows in _children(cache.level("all", 7), False):
             a = adjacency_bits(rows)
             colors = _refine(a)
             top = colors[:, -1] == colors.max(axis=1)
-            canon, _, _, placed_last, _ = _canonical_forms(rows[top], a[top], colors[top])
+            canon, placed_last, _ = _canonical_forms(rows[top], a[top], colors[top])
             for row in canon[~placed_last].tolist():
                 rejected += 1
                 assert tuple(row) in level
@@ -284,12 +302,11 @@ class TestFastPaths:
             for base, top in ORACLE_PARENTS:
                 got = _extend(cache.level(base, top), base == "bipartite")
                 want = cache.level(base, top + 1)
-                for field in ("rows", "gens", "starts"):
-                    assert np.array_equal(getattr(got, field), getattr(want, field)), (block, base, field)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (block, base)
 
     def test_level_is_held_in_arrays(self, cache):
-        # a level keeps masks and generators only, at most 64 bytes a class
-        # (tracemalloc counts numpy buffers)
+        # a level keeps its uint16 masks only (16 bytes a class at order 8),
+        # at most 32 bytes a class (tracemalloc counts numpy buffers)
         parents = cache.level("all", 7)
         tracemalloc.start()
         try:
@@ -298,7 +315,15 @@ class TestFastPaths:
         finally:
             tracemalloc.stop()
         assert len(level) == OEIS[GraphClass.ALL][7]
-        assert retained <= 64 * len(level), retained / len(level)
+        assert retained <= 32 * len(level), retained / len(level)
+
+    def test_generators_only_for_parents(self, cache, monkeypatch):
+        # generators are made for the parents being extended, not for the
+        # children: building all 8 closes cosets for at most the 1 044
+        # graphs of all 7
+        calls = count_calls(monkeypatch, "_coset_generators", graphs_module)
+        _extend(cache.level("all", 7), False)
+        assert 0 < len(calls) <= OEIS[GraphClass.ALL][6]
 
     def test_level_build_encodes_no_graph6(self, cache, monkeypatch):
         # graph6 is written only for codes that are output, so neither a

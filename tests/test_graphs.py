@@ -246,28 +246,6 @@ class TestGeneratorCompleteness:
             assert colors[last] == max(colors)
             assert degrees(g)[last] == max_degree(g)
 
-    def test_passed_colours_give_the_same_form(self, cache, monkeypatch):
-        # the enumerator hands canonical_form the refinement of its pre-test;
-        # the search must then skip refining again and build the same form
-        import starfree.graphs as graphs_module
-
-        rng = random.Random(11)
-        inputs = []
-        for n in range(1, 7):
-            for g in enumerate_graphs(n, GraphClass.ALL, cache):
-                perm = list(range(n))
-                rng.shuffle(perm)
-                inputs += [g, relabel(g, tuple(perm))]
-        expected = [(h, _refine(adjacency_bits([h.adj]))[0].tolist(), canonical_form(h))
-                    for h in inputs]
-
-        def refine_again(a):
-            raise AssertionError("refined again")
-
-        monkeypatch.setattr(graphs_module, "_refine", refine_again)
-        for h, colors, cf in expected:
-            assert canonical_form(h, colors=colors) == cf
-
 
 def leaf_count(g) -> int:
     """How many leaves the labelling pass keeps for g, as a stack of one."""
