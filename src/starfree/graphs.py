@@ -251,21 +251,6 @@ def is_bipartite(g: Graph) -> Optional[tuple[int, int]]:
     return side[0], side[1]
 
 
-def is_triangle_free(g: Graph) -> bool:
-    return not any(g.adj[v] & g.adj[u] for v, u in edges(g))
-
-
-def check_invariants(g: Graph) -> None:
-    """Raise AssertionError unless adjacency is symmetric, loop-free, in range."""
-    assert 0 <= g.n <= MAX_ORDER and len(g.adj) == g.n
-    full = (1 << g.n) - 1
-    for v in range(g.n):
-        assert g.adj[v] & ~full == 0, f"vertex {v} has neighbours >= n"
-        assert g.adj[v] >> v & 1 == 0, f"loop at {v}"
-        for u in _bits(g.adj[v]):
-            assert g.adj[u] >> v & 1, f"asymmetric pair ({v},{u})"
-
-
 # ---------------------------------------------------------------------------
 # canonical labelling
 # ---------------------------------------------------------------------------

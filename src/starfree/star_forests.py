@@ -2,16 +2,21 @@
 
 A star forest is a vertex-disjoint union of stars, recorded by the sorted
 list of leaf counts d1 >= ... >= dk >= 1.  Containment of a star forest as a
-subgraph is decided exactly: candidate center sets C are enumerated, each
-center c_i of C is given a star size caps[i], and Hall's condition settles
-whether every center can have caps[i] private leaves outside C.  Copy each
-c_i caps[i] times; the stars exist iff the copies have a matching into the
-leaves that saturates them.  By Hall's theorem that holds iff every set T of
-copies sees at least |T| leaves.  Copies of one center share its
-neighbourhood, so a set T meeting the copies of the centers in S sees the
-same leaves as all copies of S, which is the largest such T.  The condition
-thus reduces to the subsets S of centers:
-    |(union of N(c_i) over i in S) - C| >= sum of caps[i] over i in S,
+subgraph is decided exactly.  Star i, in that order, is given a center from
+the vertices of degree >= dk, tried in order of falling degree; a center
+with fewer than di neighbours outside the centers already placed is
+skipped.  Stars of equal size are interchangeable, so within each run of
+equal sizes the centers are taken at increasing positions of that order:
+every set of centers with its assignment of sizes is then tried exactly
+once.  Once all k centers C are placed, Hall's condition settles whether
+every center c_i can have di private leaves outside C.  Copy each c_i di
+times; the stars exist iff the copies have a matching into the leaves that
+saturates them.  By Hall's theorem that holds iff every set T of copies
+sees at least |T| leaves.  Copies of one center share its neighbourhood, so
+a set T meeting the copies of the centers in S sees the same leaves as all
+copies of S, which is the largest such T.  The condition thus reduces to
+the subsets S of centers:
+    |(union of N(c_i) over i in S) - C| >= sum of di over i in S,
 at most 2^k - 1 counts for k <= MAX_STARS stars.
 A brute-force oracle with the same semantics backs the fast path in tests.
 
@@ -25,7 +30,7 @@ neighbours, then G contains F iff G - v contains F - S_{d1}.
 The peel repeats on the live vertices until no vertex qualifies (or every
 star is placed).  On the extremal families, K_{k-1} joined to a sparse
 graph, it peels the k-1 dominating vertices, after which the last star's
-degree exceeds every live degree and the search has no candidate center.
+degree exceeds every live degree and the placement has no candidate center.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 from .errors import ParamOutOfRange, ParseError
 from .graphs import Graph, _bits
 
-MAX_STARS = 8  # center-subset enumeration is exponential in the star count
+MAX_STARS = 8  # the depth of the center placement; Hall's table has 2^k entries
 
 
 @dataclass(frozen=True)
@@ -123,9 +128,9 @@ def contains_star_forest(g: Graph, forest: StarForest) -> bool:
     Centers cannot serve as leaves of other stars (the stars are vertex
     disjoint); an edge between two chosen centers is simply unused.  Vertices
     with at least |F| - 1 live neighbours are peeled first, each taking the
-    largest remaining star (see the module docstring); the center-subset
-    search then runs on the live vertices with the stars that are left; it
-    raises ParamOutOfRange when more than MAX_STARS stars are left for it.
+    largest remaining star (see the module docstring); the center placement
+    then runs on the live vertices with the stars that are left; it raises
+    ParamOutOfRange when more than MAX_STARS stars are left for it.
     """
     if g.n < forest.order:
         return False
@@ -147,28 +152,26 @@ def contains_star_forest(g: Graph, forest: StarForest) -> bool:
                               f"after the peel, got {k}")
     # peeled vertices keep their index but lose every edge
     adj = [row & live if live >> v & 1 else 0 for v, row in enumerate(g.adj)]
-    deg = [row.bit_count() for row in adj]
-    cands = [v for v in range(g.n) if deg[v] >= d[-1]]
-    if len(cands) < k:
+    pool = sorted((v for v in range(g.n) if adj[v].bit_count() >= d[-1]),
+                  key=lambda v: -adj[v].bit_count())
+
+    def place(i: int, first: int, centers: list[int], cmask: int) -> bool:
+        """Give star i a center from pool[first:], then place the rest."""
+        if i == k:
+            return _leaves_fit([adj[c] & ~cmask for c in centers], d)
+        for pos in range(first, len(pool)):
+            c = pool[pos]
+            if cmask >> c & 1 or (adj[c] & ~cmask).bit_count() < d[i]:
+                continue
+            centers.append(c)
+            # equal stars are interchangeable: their positions increase
+            if place(i + 1, pos + 1 if i + 1 < k and d[i + 1] == d[i] else 0,
+                     centers, cmask | 1 << c):
+                return True
+            centers.pop()
         return False
-    cands.sort(key=lambda v: -deg[v])
-    # role multiset collapsed: permutations of equal leaf counts are identical
-    assignments = sorted(set(itertools.permutations(d)), reverse=True)
-    sorted_d = list(d)
-    for centers in itertools.combinations(cands, k):
-        cmask = 0
-        for c in centers:
-            cmask |= 1 << c
-        rows = [adj[c] & ~cmask for c in centers]
-        out = [row.bit_count() for row in rows]
-        ranked = sorted(out, reverse=True)
-        if any(ranked[i] < sorted_d[i] for i in range(k)):
-            continue
-        for caps in assignments:
-            if all(out[i] >= caps[i] for i in range(k)):
-                if _leaves_fit(rows, caps):
-                    return True
-    return False
+
+    return place(0, 0, [], 0)
 
 
 def contains_star_forest_oracle(g: Graph, forest: StarForest) -> bool:

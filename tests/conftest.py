@@ -7,7 +7,17 @@ import pytest
 
 from starfree import search
 from starfree.enumeration import EnumerationCache
-from starfree.graphs import Graph, _canonical_forms, _refine, adjacency_bits, from_edges, graph6_encode
+from starfree.graphs import (
+    MAX_ORDER,
+    Graph,
+    _bits,
+    _canonical_forms,
+    _refine,
+    adjacency_bits,
+    edges,
+    from_edges,
+    graph6_encode,
+)
 
 
 @pytest.fixture(scope="session")
@@ -53,6 +63,21 @@ def doctor_spectra(monkeypatch, n: int, index: int, row) -> None:
         return out
 
     monkeypatch.setattr(search, "adjacency_spectra", doctored)
+
+
+def is_triangle_free(g: Graph) -> bool:
+    return not any(g.adj[v] & g.adj[u] for v, u in edges(g))
+
+
+def check_invariants(g: Graph) -> None:
+    """Raise AssertionError unless adjacency is symmetric, loop-free, in range."""
+    assert 0 <= g.n <= MAX_ORDER and len(g.adj) == g.n
+    full = (1 << g.n) - 1
+    for v in range(g.n):
+        assert g.adj[v] & ~full == 0, f"vertex {v} has neighbours >= n"
+        assert g.adj[v] >> v & 1 == 0, f"loop at {v}"
+        for u in _bits(g.adj[v]):
+            assert g.adj[u] >> v & 1, f"asymmetric pair ({v},{u})"
 
 
 def path_graph(n: int) -> Graph:

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import double_star, star_forests_up_to, star_graph
+from conftest import double_star, is_triangle_free, star_forests_up_to, star_graph
 from starfree.enumeration import GraphClass, enumerate_graphs
 from starfree.errors import NoRegularGraph
 from starfree.families import (
@@ -25,7 +25,6 @@ from starfree.graphs import (
     edge_count,
     is_bipartite,
     is_connected,
-    is_triangle_free,
 )
 from starfree.search import (
     conjecture_margin_table,

@@ -37,9 +37,27 @@ def test_mentions_are_not_uses():
     assert _used_names(source) & wanted == {"adjacency_spectrum", "edge_count"}
 
 
-def test_every_export_has_a_caller():
+def _public_definitions() -> list[str]:
+    """The top-level functions and classes of the package whose names do not
+    start with an underscore, as ``module.name``."""
+    return [f"{path.stem}.{node.name}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+
+
+def _callers() -> set[str]:
     # perfbench/tracer.py names its entry points as strings, deleted ones too
     sources = [path for path in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
                if path.name not in ("__init__.py", "tracer.py")]
-    used = set().union(*(_used_names(path.read_text()) for path in sources))
+    return set().union(*(_used_names(path.read_text()) for path in sources))
+
+
+def test_every_export_has_a_caller():
+    used = _callers()
     assert [name for name in _exports() if name not in used] == []
+
+
+def test_every_public_definition_has_a_caller():
+    used = _callers()
+    assert [name for name in _public_definitions() if name.split(".")[1] not in used] == []

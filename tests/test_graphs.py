@@ -7,8 +7,10 @@ import pytest
 from conftest import (
     all_labeled_graphs,
     brute_min_cols,
+    check_invariants,
     cycle_graph,
     group_closure,
+    is_triangle_free,
     path_graph,
     reference_colors,
     star_graph,
@@ -21,7 +23,6 @@ from starfree.graphs import (
     _refine,
     adjacency_bits,
     canonical_form,
-    check_invariants,
     complete_graph,
     degrees,
     edge_count,
@@ -32,7 +33,6 @@ from starfree.graphs import (
     graph6_encode,
     is_bipartite,
     is_connected,
-    is_triangle_free,
     join,
     max_degree,
     relabel,

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import cycle_graph, path_graph, star_graph
+from conftest import cycle_graph, is_triangle_free, path_graph, star_graph
 from starfree import spectra
 from starfree.enumeration import GraphClass, enumerate_graphs
 from starfree.errors import Disconnected, EmptyGraph
@@ -16,7 +16,6 @@ from starfree.graphs import (
     empty_graph,
     from_edges,
     is_bipartite,
-    is_triangle_free,
     join,
     union,
 )

@@ -133,6 +133,40 @@ class TestContainment:
                     assert contains_star_forest(g, f) == contains_star_forest_oracle(g, f), (g, f)
         assert peelable > compared // 4
 
+    def test_matches_oracle_past_four_stars(self):
+        # a spanning copy: the 2-star must sit on the path's middle vertex,
+        # which the falling-degree order places after every clique vertex
+        # that carries a 1-star, so a smaller star may take an earlier center
+        g = union(union(path_graph(3), complete_graph(4)), complete_graph(4))
+        f = StarForest((2, 1, 1, 1, 1))
+        assert contains_star_forest(g, f) and contains_star_forest_oracle(g, f)
+        # runs of three and more equal stars, where only increasing positions
+        # within the run keep one placement per set of centers
+        forests = [StarForest(t) for t in [(1, 1, 1, 1, 1), (2, 1, 1, 1, 1), (2, 2, 2, 1, 1),
+                                           (3, 1, 1, 1, 1), (2, 2, 2, 2, 2), (3, 1, 1, 1, 1, 1)]]
+        rng = random.Random(41)
+        outcomes = {f: set() for f in forests}
+        for case in range(150):
+            f = forests[case % len(forests)]
+            # order 10-13, raised to the forest's order where that is larger
+            n = rng.randint(max(10, f.order), max(13, f.order))
+            p = rng.uniform(0.1, 0.4)
+            g = from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+            found = contains_star_forest(g, f)
+            assert found == contains_star_forest_oracle(g, f), (g, f)
+            outcomes[f].add(found)
+        assert all(seen == {False, True} for seen in outcomes.values()), outcomes
+
+    def test_star_limit_reaches_the_search(self):
+        # no vertex has the 2m - 1 neighbours that the peel needs, so all m
+        # stars reach the search; the matching number decides
+        m = MAX_STARS
+        forest = StarForest((1,) * m)
+        assert contains_star_forest(from_edges(2 * m, [(2 * i, 2 * i + 1) for i in range(m)]), forest)
+        assert contains_star_forest(cycle_graph(2 * m), forest)
+        assert avoids_star_forest(from_edges(2 * m, [(2 * i, 2 * i + 1) for i in range(m - 1)]), forest)
+        assert avoids_star_forest(join(empty_graph(m - 1), empty_graph(m + 1)), forest)
+
     def test_edge_monotone(self):
         rng = random.Random(23)
         f = StarForest((2, 1))
