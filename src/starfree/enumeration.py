@@ -9,7 +9,7 @@ vertex.  Two cheap necessary conditions run first, because the last
 canonical position belongs to the highest colour cell of the equitable
 partition, and a higher colour id never means a lower degree: the new
 vertex must have maximum degree in the child (integer work on the parent's
-degrees, which one numpy step takes for the whole parent level), and it
+degrees, which one numpy step takes for a block of parents), and it
 must lie in the highest colour cell of the child's equitable partition.
 Only the children that pass both are labelled, starting from that
 partition instead of refining again.
@@ -20,28 +20,30 @@ columns of the graph6 bit string (``graphs._graph6_order``), so no code is
 stored.  ``enumerate_graphs`` builds each ``Graph`` as it yields it, and
 graph6 is written only for the codes that are output.
 
-A level is extended a block of ``_BLOCK`` parents at a time.  The parents'
+A level is extended a block of ``_BLOCK`` parents at a time, and a block
+is the only batching unit: each takes one straight pass, and yields one
+block of children, which bounds the working memory.  The parents'
 automorphism generators are made for that block only
 (``graphs._automorphism_generators``): canonical augmentation needs a
 parent's group only while that parent is extended, so no child's is ever
-made or kept.  Each parent's attachment masks are pre-tested (the degree
-test, and for the bipartite tree the bipartition test; both keep whole
-orbits), then reduced to one representative per orbit of the parent's
-group by min-label propagation over tables of mask images.  By McKay's
-theorem (B. D. McKay, "Isomorph-free exhaustive generation", J. Algorithms
-26 (1998), section 4) the accepted children of one parent are then pairwise
-non-isomorphic, and each class is accepted from one parent class only, so
-every accepted child is kept.
+made or kept.  The block's attachment masks are pre-tested as one
+(parents, masks) table (the degree test, and for the bipartite tree the
+bipartition test; both keep whole orbits), then reduced to one
+representative per orbit of each parent's group by one min-label
+propagation over the kept (parent, mask) pairs (``_mask_orbit_reps``).  By
+McKay's theorem (B. D. McKay, "Isomorph-free exhaustive generation", J.
+Algorithms 26 (1998), section 4) the accepted children of one parent are
+then pairwise non-isomorphic, and each class is accepted from one parent
+class only, so every accepted child is kept.
 
-The children are collected across parents into blocks of at most
-``_BLOCK``, which bounds the working memory.  Each block's adjacency
-matrices are unpacked in one numpy step, refined in one batched call
-(``graphs._refine``, the only refinement), top-cell tested by one
-vectorised comparison, and labelled by one breadth-first pass
-(``graphs._canonical_forms``, the only labelling).  The pass keeps every
-minimal-code ordering that places each twin class lowest vertex first, so
-a child is accepted iff one of them places its new vertex, the highest,
-last.  Blocks change no result: the level is sorted by code.
+All the children of a block are then unpacked into adjacency matrices in
+one numpy step, refined in one batched call (``graphs._refine``, the only
+refinement), top-cell tested by one vectorised comparison, and labelled by
+one breadth-first pass (``graphs._canonical_forms``, the only labelling).
+The pass keeps every minimal-code ordering that places each twin class
+lowest vertex first, so a child is accepted iff one of them places its new
+vertex, the highest, last.  Blocks change no result: the level is sorted
+by code.
 
 Bipartite graphs are closed under vertex deletion, so the bipartite classes
 are generated by the same augmentation restricted to bipartite parents and
@@ -76,11 +78,16 @@ from .graphs import (
 ALL_CEILING = 9
 BIPARTITE_CEILING = 12
 
-# _extend takes the generators of at most this many parents, and refines and
-# labels at most this many children, at a time, which bounds its working
-# memory; against 256, blocks of 64 built the all-8 and bipartite-10 levels
-# in about 1.6x the time, and blocks of 1024 or 4096 in about 0.85x (2-vCPU VM)
-_BLOCK = 256
+# _extend takes a block of at most this many parents at a time: their
+# generators, their orbit step, and the refinement and labelling of all their
+# children, so the block bounds its working memory.  Process time and peak
+# RSS of a fresh build, 3 runs each on a 2-vCPU VM:
+#   block  all 9               bipartite 11        bipartite 12
+#   32     4.0-6.3 s, 56.0 MB  1.6-2.4 s, 37.9 MB  11.7-17.1 s, 59.9 MB
+#   64     4.4-5.8 s, 55.9 MB  1.4-2.1 s, 38.9 MB  11.2-14.6 s, 64.9 MB
+#   128    4.6-5.2 s, 60.7 MB  1.5-1.7 s, 41.2 MB  11.1-11.7 s, 59.2 MB
+# and all 8 peaks at 35.4 / 36.4 / 37.9 MB.
+_BLOCK = 64
 
 
 class GraphClass(str, Enum):
@@ -111,27 +118,39 @@ def parse_graph_class(text: str) -> GraphClass:
         ) from None
 
 
-def _mask_orbit_reps(masks: np.ndarray, bits: np.ndarray, generators: np.ndarray) -> np.ndarray:
-    """One mask per orbit of the parent's automorphism group among the
-    increasing ``masks``, a union of orbits: the orbit's smallest, in
-    increasing order.
+def _mask_orbit_reps(keep: np.ndarray, bits: np.ndarray,
+                     generators: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """One mask per orbit of each parent's automorphism group.
 
-    ``bits[mask]`` is the 0/1 row of mask's bits, so ``bits[masks] @ (1 <<
-    sigma)`` lists each mask's image under sigma.  Each mask holds a label
-    in its orbit, at most itself, and takes the least label among its images
-    (then its label's label) until nothing moves.  No label then exceeds the
-    labels of its images, so labels are constant along every generator's
-    cycles, hence on each orbit: the orbit's smallest mask.
+    ``keep`` is a (P, 2^m) table of the masks kept for each of P parents, a
+    union of orbits of that parent's group.  Returns the (parent, mask)
+    pairs whose mask is its orbit's smallest, in parent then mask order.
+
+    The parents' generators are padded by the identity into one (P, k, m)
+    table, so column j of it maps every kept pair at once: ``bits[mask] <<
+    sigma`` sums to the mask's image, and a dense (P, 2^m) table of pair
+    indices, the running count of ``keep``, finds the image's pair; the
+    image is kept, since its orbit is.  Each pair holds a label in its orbit,
+    at most itself, and takes the least label among its images (then its
+    label's label) until nothing moves.  No label then exceeds the labels of
+    its images, so labels are constant along every generator's cycles, hence
+    on each orbit: the orbit's smallest mask.
     """
-    if not len(generators):
-        return masks
-    images = np.searchsorted(masks, bits[masks] @ (1 << generators.T.astype(np.int64)))
-    label = np.arange(len(masks))
+    parent, mask = np.nonzero(keep)
+    counts = np.fromiter(map(len, generators), int, len(generators))
+    sigma = np.tile(np.arange(bits.shape[1], dtype=np.int8), (len(counts), counts.max(initial=1), 1))
+    sigma[np.arange(sigma.shape[1]) < counts[:, None]] = np.concatenate(generators)
+    index = keep.cumsum().reshape(keep.shape) - 1
+    rows = bits[mask]
+    images = np.stack([index[parent, (rows << sigma[parent, j]).sum(axis=1)]
+                       for j in range(sigma.shape[1])], axis=1)
+    label = np.arange(len(mask))
     while True:
         low = np.minimum(label, label[images].min(axis=1))
         low = low[low]
         if np.array_equal(low, label):
-            return masks[label == np.arange(len(masks))]
+            reps = label == np.arange(len(mask))
+            return parent[reps], mask[reps]
         label = low
 
 
@@ -151,35 +170,25 @@ def _bipartite_masks(g: Graph, masks: np.ndarray) -> np.ndarray:
 
 
 def _children(parents: np.ndarray, bipartite_only: bool) -> Iterator[np.ndarray]:
-    """The children that pass the degree pre-test, as blocks of at most
-    _BLOCK rows of neighbour masks (parent order, then mask order)."""
+    """The pre-tested children, one per orbit of its parent's group on the
+    masks, as one block of neighbour-mask rows per block of _BLOCK parents
+    (parent order, then mask order)."""
     m = parents.shape[1]
     masks = np.arange(1 << m)
     bits = masks[:, None] >> np.arange(m) & 1
-    sizes = bits.sum(axis=1)
-    deg = adjacency_bits(parents).sum(axis=2)
-    top = deg.max(axis=1)
-    at_top = (deg == top[:, None]) @ (1 << np.arange(m))
-    parents = parents.astype(np.int64)
-    pending = np.empty((0, m + 1), dtype=np.int64)
     for start in range(0, len(parents), _BLOCK):
         block = parents[start:start + _BLOCK]
-        for i, (row, generators) in enumerate(zip(block, _automorphism_generators(block)), start):
-            # degree pre-test: the child's largest old degree is top, plus
-            # one if the new vertex is adjacent to a vertex of degree top.
-            # Both tests keep whole orbits: an automorphism keeps degrees,
-            # and maps each component's colour classes onto a component's
-            keep = sizes >= top[i] + ((masks & at_top[i]) != 0)
-            if bipartite_only:
-                keep &= _bipartite_masks(Graph(m, tuple(row.tolist())), masks)
-            reps = _mask_orbit_reps(masks[keep], bits, generators)
-            rows = np.concatenate([row | bits[reps] << m, reps[:, None]], axis=1)
-            pending = np.concatenate([pending, rows])
-            while len(pending) >= _BLOCK:
-                yield pending[:_BLOCK]
-                pending = pending[_BLOCK:]
-    if len(pending):
-        yield pending
+        # degree pre-test: the child's largest old degree is top, plus one if
+        # the new vertex is adjacent to a vertex of degree top.  Both tests
+        # keep whole orbits: an automorphism keeps degrees, and maps each
+        # component's colour classes onto a component's
+        deg = adjacency_bits(block).sum(axis=2)
+        top = deg.max(axis=1, keepdims=True)
+        keep = bits.sum(axis=1) >= top + ((deg == top) @ bits.T > 0)
+        if bipartite_only:
+            keep &= [_bipartite_masks(Graph(m, tuple(row)), masks) for row in block.tolist()]
+        parent, mask = _mask_orbit_reps(keep, bits, _automorphism_generators(block))
+        yield np.concatenate([block[parent] | bits[mask] << m, mask[:, None]], axis=1)
 
 
 def _extend(parents: np.ndarray, bipartite_only: bool) -> np.ndarray:

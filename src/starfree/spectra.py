@@ -194,9 +194,10 @@ def adjacency_spectrum(g: Graph) -> SpectrumResult:
 def adjacency_spectra(graphs: Sequence[Graph]) -> np.ndarray:
     """All adjacency eigenvalues of same-order graphs, one row each, descending.
 
-    Returns an (N, n) array; graphs of mixed orders raise ValueError.  LAPACK ``eigh`` runs on blocks of at most
-    _BLOCK matrices, and each block is certified by its largest eigenpair
-    residual (``_certified_residual``).
+    Returns an (N, n) array; graphs of mixed orders raise ValueError.
+    LAPACK ``eigh`` runs on blocks of at most _BLOCK matrices, and each
+    block is certified by its largest eigenpair residual
+    (``_certified_residual``).
     """
     if graphs and graphs[0].n == 0:
         raise EmptyGraph("spectrum of the order-0 graph is undefined")

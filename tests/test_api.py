@@ -61,3 +61,45 @@ def test_every_export_has_a_caller():
 def test_every_public_definition_has_a_caller():
     used = _callers()
     assert [name for name in _public_definitions() if name.split(".")[1] not in used] == []
+
+
+#: numpy attributes that numpy 1.24, the oldest numpy that pyproject.toml
+#: allows, does not have: the numpy 2.0-2.2 additions, and ``exceptions``
+#: and ``dtypes`` from 1.25.  ``bool`` was removed in 1.24 and is back in 2.0.
+NUMPY_AFTER_1_24 = {
+    "acos", "acosh", "asin", "asinh", "atan", "atan2", "atanh", "astype", "bitwise_count",
+    "bitwise_invert", "bitwise_left_shift", "bitwise_right_shift", "bool", "concat",
+    "cumulative_prod", "cumulative_sum", "dtypes", "exceptions", "isdtype", "long",
+    "matrix_transpose", "matvec", "permute_dims", "pow", "strings", "trapezoid", "ulong",
+    "unique_all", "unique_counts", "unique_inverse", "unique_values", "unstack", "vecdot",
+    "vecmat",
+}
+
+
+def _numpy_names(source: str) -> set[str]:
+    """The names that the code reads off ``np`` or ``numpy``, or imports
+    from numpy; docstrings and comments do not count."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_numpy_names_are_read_from_code():
+    source = (
+        '"""np.concat, named in a docstring."""\n'
+        "# np.unstack, named in a comment\n"
+        "from numpy import vecdot\n"
+        "x = np.bitwise_count(a).sum() + numpy.pow(2, 3) + a.astype(int)\n"
+    )
+    assert _numpy_names(source) & NUMPY_AFTER_1_24 == {"vecdot", "bitwise_count", "pow"}
+
+
+def test_no_numpy_newer_than_the_floor():
+    # CI runs the oldest allowed numpy too; a name it lacks fails only there
+    found = [f"{path.name}: np.{name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in sorted(_numpy_names(path.read_text()) & NUMPY_AFTER_1_24)]
+    assert found == []

@@ -223,16 +223,27 @@ class TestFastPaths:
         assert children > 1000
 
     def test_mask_orbit_reps_match_closure(self, cache):
+        # the orbit step on blocks of 1, 7 and all parents keeps, for each
+        # parent, the masks that closing its orbits one image at a time keeps
         parents = 0
         for base, top in ORACLE_PARENTS:
             for m in range(1, top + 1):
                 _, bits = mask_bits(m)
                 level = cache.level(base, m)
-                for g, generators in zip(level_graphs(level), _automorphism_generators(level)):
-                    pool = pretested_masks(g, base == "bipartite")
-                    want = reference_orbit_reps(m, generators.tolist(), pool)
-                    assert _mask_orbit_reps(np.array(pool, dtype=np.int64), bits, generators).tolist() == want
-                    parents += len(generators) > 0
+                pools = [pretested_masks(g, base == "bipartite") for g in level_graphs(level)]
+                wants = [reference_orbit_reps(m, generators.tolist(), pool)
+                         for generators, pool in zip(_automorphism_generators(level), pools)]
+                for block in (1, 7, len(level)):
+                    for start in range(0, len(level), block):
+                        rows = level[start:start + block]
+                        keep = np.zeros((len(rows), 1 << m), dtype=bool)
+                        for i, pool in enumerate(pools[start:start + block]):
+                            keep[i, pool] = True
+                        parent, mask = _mask_orbit_reps(keep, bits, _automorphism_generators(rows))
+                        assert np.all(np.diff(parent) >= 0), (base, m, block)
+                        for i, want in enumerate(wants[start:start + block]):
+                            assert mask[parent == i].tolist() == want, (base, m, block, start + i)
+                parents += sum(len(want) < len(pool) for want, pool in zip(wants, pools))
         assert parents > 100
 
     def test_bipartite_masks_keep_the_child_bipartite(self, cache):
@@ -297,12 +308,22 @@ class TestFastPaths:
         assert rejected > 0
 
     def test_block_size_does_not_change_a_level(self, cache, monkeypatch):
-        for block in (1, 7):
+        largest = max(len(cache.level(base, top)) for base, top in ORACLE_PARENTS)
+        for block in (1, 7, largest + 1):
             monkeypatch.setattr(enumeration_module, "_BLOCK", block)
             for base, top in ORACLE_PARENTS:
                 got = _extend(cache.level(base, top), base == "bipartite")
                 want = cache.level(base, top + 1)
                 assert got.dtype == want.dtype and np.array_equal(got, want), (block, base)
+
+    def test_one_pass_per_parent_block(self, cache, monkeypatch):
+        # a block of parents is the one batching unit: building all 8 takes
+        # the generators, refines and labels once per block of all 7
+        names = ("_automorphism_generators", "_refine", "_canonical_forms")
+        calls = {name: count_calls(monkeypatch, name, enumeration_module) for name in names}
+        _extend(cache.level("all", 7), False)
+        blocks = -(-OEIS[GraphClass.ALL][6] // enumeration_module._BLOCK)
+        assert {name: len(made) for name, made in calls.items()} == dict.fromkeys(names, blocks)
 
     def test_level_is_held_in_arrays(self, cache):
         # a level keeps its uint16 masks only (16 bytes a class at order 8),
