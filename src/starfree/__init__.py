@@ -35,8 +35,6 @@ from .graphs import (
     Graph,
     canonical_form,
     complete_graph,
-    degrees,
-    edge_count,
     edges,
     empty_graph,
     from_edges,
@@ -45,7 +43,6 @@ from .graphs import (
     is_bipartite,
     is_connected,
     join,
-    max_degree,
     relabel,
     union,
 )
@@ -66,15 +63,13 @@ from .search import (
 from .spectra import (
     PerronData,
     SpectrumResult,
-    adjacency_matrices,
-    adjacency_matrix,
     adjacency_spectra,
     adjacency_spectrum,
     check_perron_floor,
+    extreme_eigenvalues,
     jacobi_eigensystem,
     least_eigenvalue,
     perron_vector,
-    signless_laplacian_matrix,
     signless_laplacian_radius,
     spectral_radius,
 )

@@ -172,18 +172,6 @@ def relabel(g: Graph, perm: tuple[int, ...]) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def degrees(g: Graph) -> tuple[int, ...]:
-    return tuple(row.bit_count() for row in g.adj)
-
-
-def max_degree(g: Graph) -> int:
-    return max((row.bit_count() for row in g.adj), default=0)
-
-
-def edge_count(g: Graph) -> int:
-    return sum(row.bit_count() for row in g.adj) // 2
-
-
 def _bits(mask: int) -> Iterator[int]:
     """The set bits of mask, lowest first."""
     while mask:

@@ -4,6 +4,16 @@ A search scans one isomorphism-free class, filters by star-forest freeness,
 maximises the spectral radius, and records the outcome next to the matching
 closed-form bound.  Records serialise to JSON lines (graph6 payloads,
 deterministic key order) so runs diff cleanly.
+
+The three class scans, ``extremal_search``, ``conjecture_margin_table`` and
+``verify_edge_bound``, share one pass over the class (``_free_rows``).  It
+tests each member for the forest and keeps the neighbour masks of the free
+ones as one (N, n) array, in graph6 order; it keeps no Python object per
+member.  Each scan then reduces that array as a whole: the radii and q
+come from one batched ``spectra.extreme_eigenvalues`` call, and edge counts
+from the rows.  The maximisers are the free graphs whose radius is within
+RHO_TIE_TOL of the maximum, the one tie rule.  A graph6 string is written
+only for the rows that are output, and already comes in graph6 order.
 """
 
 from __future__ import annotations
@@ -22,8 +32,8 @@ from .families import (
     radius_bound_general,
     signless_radius_bound,
 )
-from .graphs import Graph, edge_count, edges, from_edges, graph6_encode
-from .spectra import adjacency_spectra, signless_laplacian_radius, spectral_radius
+from .graphs import Graph, edges, from_edges, graph6_encode
+from .spectra import adjacency_spectra, extreme_eigenvalues, spectral_radius
 from .star_forests import StarForest, avoids_star_forest, coarse_edge_bound, parse_star_forest
 
 RHO_TIE_TOL = 1e-9
@@ -125,6 +135,28 @@ def applicable_bound(n: int, forest: StarForest, graph_class: GraphClass):
     return value, applicable
 
 
+def _free_rows(
+    n: int, forest: StarForest, graph_class: GraphClass, cache: EnumerationCache | None
+) -> tuple[int, np.ndarray]:
+    """The class size, and the neighbour masks of its forest-free members as
+    one (N, n) uint16 array in graph6 order."""
+    members = 0
+
+    def free():
+        nonlocal members
+        for g in enumerate_graphs(n, graph_class, cache):
+            members += 1
+            if avoids_star_forest(g, forest):
+                yield from g.adj
+
+    rows = np.fromiter(free(), np.uint16).reshape(-1, n)
+    return members, rows
+
+
+def _graph6(row: list[int]) -> str:
+    return graph6_encode(Graph(len(row), tuple(row)))
+
+
 def extremal_search(
     n: int,
     forest: StarForest,
@@ -133,29 +165,16 @@ def extremal_search(
 ) -> SearchRecord:
     """Scan the class, keep the forest-free graphs, maximise the radius.
 
-    ``best`` holds every free graph seen so far within RHO_TIE_TOL of the
-    running maximum, so at the end it is the argmax set.
+    The argmax is every free graph within RHO_TIE_TOL of the maximum radius.
     """
-    count_enumerated = 0
-    count_free = 0
-    best: list[tuple[float, Graph]] = []
-    max_rho = float("-inf")
-    for g in enumerate_graphs(n, graph_class, cache):
-        count_enumerated += 1
-        if not avoids_star_forest(g, forest):
-            continue
-        count_free += 1
-        rho = spectral_radius(g)
-        if rho > max_rho:
-            max_rho = rho
-            best = [(r, h) for r, h in best if r >= max_rho - RHO_TIE_TOL]
-        if rho >= max_rho - RHO_TIE_TOL:
-            best.append((rho, g))
-    if count_free == 0:
+    count_enumerated, rows = _free_rows(n, forest, graph_class, cache)
+    if not len(rows):
         raise EmptyClass(
             f"no {forest}-free graph of order {n} in class {graph_class.value!r}"
         )
-    argmax = tuple(sorted(graph6_encode(h) for _, h in best))
+    rho = extreme_eigenvalues(rows, False, -1)
+    max_rho = float(rho.max())
+    argmax = tuple(map(_graph6, rows[rho >= max_rho - RHO_TIE_TOL].tolist()))
     bound_value, bound_applicable = applicable_bound(n, forest, graph_class)
     gap = None if bound_value is None else bound_value - max_rho
     return SearchRecord(
@@ -163,7 +182,7 @@ def extremal_search(
         graph_class=graph_class,
         forest=forest,
         count_enumerated=count_enumerated,
-        count_free=count_free,
+        count_free=len(rows),
         max_rho=max_rho,
         argmax=argmax,
         bound_value=bound_value,
@@ -235,7 +254,8 @@ def verify_bipartite_spectra(max_n: int, cache: EnumerationCache | None = None) 
     is the triangle-free bound; a bipartite graph has no odd cycle, so every
     graph here is triangle-free and none needs testing for it.
 
-    Each level's spectra come from one batched ``adjacency_spectra`` call.
+    Each level's spectra come from one batched ``adjacency_spectra`` call on
+    its rows.
     max_n < 1 raises ParamOutOfRange: a suite that checks nothing proves
     nothing.
     """
@@ -247,20 +267,24 @@ def verify_bipartite_spectra(max_n: int, cache: EnumerationCache | None = None) 
     failures = []
     checked = 0
     for n in range(1, max_n + 1):
-        level = list(enumerate_graphs(n, GraphClass.BIPARTITE, cache))
+        level = cache.level("bipartite", n)
         spectra = adjacency_spectra(level)
         asymmetric = np.max(np.abs(spectra + spectra[:, ::-1]), axis=1) > RHO_TIE_TOL
+        above = spectra[:, 0] > n / 2 + RHO_TIE_TOL
         checked += len(level)
-        for g, vals, skew in zip(level, spectra, asymmetric):
-            if skew:
-                failures.append(f"asymmetric spectrum at n={n} {graph6_encode(g)}")
-            if vals[0] > n / 2 + RHO_TIE_TOL:
-                failures.append(f"triangle-free radius above n/2 at n={n} {graph6_encode(g)}")
+        for i in np.flatnonzero(asymmetric | above):
+            code = _graph6(level[i].tolist())
+            if asymmetric[i]:
+                failures.append(f"asymmetric spectrum at n={n} {code}")
+            if above[i]:
+                failures.append(f"triangle-free radius above n/2 at n={n} {code}")
     return SuiteResult("bipartite", checked, tuple(failures))
 
 
 @dataclass(frozen=True)
 class EdgeBoundViolation:
+    """A forest-free graph with more edges than the coarse edge bound."""
+
     graph6: str
     edges: int
     bound: int
@@ -279,20 +303,20 @@ def verify_edge_bound(
 
     The bound is proved for every n >= order(forest), so the expected result
     is an empty list; anything returned is an implementation counterexample.
+    Edge counts are the popcounts of the free rows, halved.
     """
     bound = coarse_edge_bound(forest, n)  # validates k >= 2 and the n floor
-    out = []
-    for g in enumerate_graphs(n, graph_class, cache):
-        if not avoids_star_forest(g, forest):
-            continue
-        e = edge_count(g)
-        if e > bound:
-            out.append(EdgeBoundViolation(graph6_encode(g), e, bound))
-    return out
+    _, rows = _free_rows(n, forest, graph_class, cache)
+    count = sum((rows >> v & 1).sum(axis=1) for v in range(n)) // 2
+    over = count > bound
+    return [EdgeBoundViolation(_graph6(row), int(e), bound)
+            for row, e in zip(rows[over].tolist(), count[over])]
 
 
 @dataclass(frozen=True)
 class QMarginRow:
+    """One forest-free graph: its signless-Laplacian radius q and q - bound."""
+
     graph6: str
     q: float
     margin: float
@@ -336,20 +360,24 @@ def conjecture_margin_table(
     graph_class: GraphClass = GraphClass.ALL,
     cache: EnumerationCache | None = None,
 ) -> QMarginTable:
+    """The q margin of every forest-free graph of the class, in graph6 order.
+
+    The bound is the conjectured signless-Laplacian ceiling, which needs
+    k >= 2 (ParamOutOfRange otherwise).  ``max_margin`` is -inf when no
+    graph is free; ``exceeders`` are the rows more than RHO_TIE_TOL above
+    the bound.
+    """
     k = forest.k
     if k < 2:
         raise ParamOutOfRange(f"the conjectured ceiling needs k >= 2, got k={k}")
     bound = signless_radius_bound(n, k, forest.degrees[-1])
-    rows = []
-    for g in enumerate_graphs(n, graph_class, cache):
-        if not avoids_star_forest(g, forest):
-            continue
-        q = signless_laplacian_radius(g)
-        rows.append(QMarginRow(graph6_encode(g), q, q - bound))
-    rows.sort(key=lambda r: r.graph6)
-    max_margin = max((r.margin for r in rows), default=float("-inf"))
-    exceeders = tuple(r.graph6 for r in rows if r.margin > RHO_TIE_TOL)
-    return QMarginTable(n, graph_class, forest, bound, tuple(rows), max_margin, exceeders)
+    _, rows = _free_rows(n, forest, graph_class, cache)
+    q = extreme_eigenvalues(rows, True, -1)
+    table = tuple(QMarginRow(_graph6(row), qi, qi - bound)
+                  for row, qi in zip(rows.tolist(), q.tolist()))
+    max_margin = max((r.margin for r in table), default=float("-inf"))
+    exceeders = tuple(r.graph6 for r in table if r.margin > RHO_TIE_TOL)
+    return QMarginTable(n, graph_class, forest, bound, table, max_margin, exceeders)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,15 @@
 """Eigenvalue machinery for adjacency and signless-Laplacian matrices.
 
-The extreme eigenvalues come straight from LAPACK: the spectral radius, the
-least adjacency eigenvalue and the signless-Laplacian radius are one
-``numpy.linalg.eigvalsh`` call each, and the Perron vector is one
+Graphs enter as stacks: an (N, n) array of neighbour-mask rows, such as an
+enumeration level, and one graph is a stack of one.  The extreme
+eigenvalues have one path, ``extreme_eigenvalues``.  It builds A, or
+Q = D + A, for at most ``_BLOCK`` graphs at a time from their rows
+(``graphs.adjacency_bits``) and makes one ``numpy.linalg.eigvalsh`` call
+per block.  ``spectral_radius``, ``least_eigenvalue`` and
+``signless_laplacian_radius`` are that path on a stack of one.  LAPACK
+solves each matrix of a stack as it would solve it alone, so a graph's
+value does not depend on the block it shares: a scan over a whole class
+gets the same bits as one call per graph.  The Perron vector is one
 ``numpy.linalg.eigh`` call.  LAPACK's symmetric eigensolvers are backward
 stable: each computed eigenvalue lies within about n * eps * ||M||_2 of an
 exact one (Golub & Van Loan, *Matrix Computations*, 8.3-8.5).  At order
@@ -10,10 +17,9 @@ exact one (Golub & Van Loan, *Matrix Computations*, 8.3-8.5).  At order
 (||Q||_2 <= 126), far inside the 1e-9 standard of every cross-check.  The
 Perron vector also carries an explicit residual certificate.
 
-Full spectra have two paths for now.  ``adjacency_spectra`` takes a whole
-list of same-order graphs: it stacks their matrices from the bitmask rows in
-one numpy step and calls ``numpy.linalg.eigh`` on blocks of at most
-``_BLOCK`` matrices.  ``adjacency_spectrum`` takes one graph and runs a
+Full spectra have two paths for now.  ``adjacency_spectra`` takes a stack
+of rows and calls ``numpy.linalg.eigh`` on blocks of at most ``_BLOCK``
+matrices.  ``adjacency_spectrum`` takes one graph and runs a
 self-contained cyclic Jacobi rotation eigensolver (dense, O(n^3) per sweep).
 Both, and the Perron vector, must pass one residual certificate,
 max ||A V - V diag(lam)||_inf <= _RESIDUAL_TOL * max(1, ||lam||_inf), or
@@ -30,12 +36,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import Disconnected, EmptyGraph
-from .graphs import Graph, adjacency_bits, degrees, is_connected, max_degree
+from .graphs import Graph, adjacency_bits, is_connected
 
 #: Jacobi stops when the off-diagonal Frobenius norm drops below this times
 #: max(1, ||M||_F), or after _MAX_SWEEPS sweeps.
@@ -48,12 +53,13 @@ _MAX_SWEEPS = 60
 # eigenpair of a block to the same bound, scaled by max(1, max |lam|)
 _RESIDUAL_TOL = 1e-11
 
-# adjacency_spectra hands eigh at most this many matrices at a time, which
-# bounds its working memory.  Measured with the order-9 bipartite level (1119
-# graphs) in one call: the peak RSS of a fresh ``verify bipartite --max-n 9``
-# process rose from 32.3 MB (per-graph Jacobi) to 35.7 MB, and the perfbench
-# ``cli`` peak_rss_mb from 41.1 to 44.1 MB.  With blocks of 64 they read 32.5
-# and 41.8 MB, at the same speed as one call.
+# extreme_eigenvalues and adjacency_spectra hand LAPACK at most this many
+# matrices at a time, which bounds their working memory.  Measured for
+# adjacency_spectra with the order-9 bipartite level (1119 graphs) in one
+# call: the peak RSS of a fresh ``verify bipartite --max-n 9`` process rose
+# from 32.3 MB (per-graph Jacobi) to 35.7 MB, and the perfbench ``cli``
+# peak_rss_mb from 41.1 to 44.1 MB.  With blocks of 64 they read 32.5 and
+# 41.8 MB, at the same speed as one call.
 _BLOCK = 64
 
 
@@ -86,21 +92,18 @@ class PerronData:
         return margin >= -1e-9, margin
 
 
-def adjacency_matrices(graphs: Sequence[Graph]) -> np.ndarray:
-    """Adjacency matrices of same-order graphs as one (N, n, n) float array,
-    decoded from the bitmask rows by ``graphs.adjacency_bits``."""
-    n = graphs[0].n if graphs else 0
-    rows = np.array([g.adj for g in graphs], dtype="<u8").reshape(len(graphs), n)
-    return adjacency_bits(rows).astype(float)
+def _rows(g: Graph) -> np.ndarray:
+    """The graph as a stack of one: its neighbour masks as a (1, n) array."""
+    return np.array([g.adj], dtype="<u8")
 
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    return adjacency_matrices([g])[0]
-
-
-def signless_laplacian_matrix(g: Graph) -> np.ndarray:
-    m = adjacency_matrix(g)
-    m[np.diag_indices(g.n)] = degrees(g)
+def _matrices(rows: np.ndarray, signless: bool) -> np.ndarray:
+    """A, or Q = D + A when ``signless``, as one (N, n, n) float stack, for
+    an (N, n) array of neighbour masks."""
+    m = adjacency_bits(rows).astype(float)
+    if signless:
+        diagonal = np.arange(m.shape[1])
+        m[:, diagonal, diagonal] = m.sum(axis=2)
     return m
 
 
@@ -187,27 +190,29 @@ def adjacency_spectrum(g: Graph) -> SpectrumResult:
     """
     if g.n == 0:
         raise EmptyGraph("spectrum of the order-0 graph is undefined")
-    vals, _, residual = jacobi_eigensystem(adjacency_matrix(g))
+    vals, _, residual = jacobi_eigensystem(_matrices(_rows(g), False)[0])
     return SpectrumResult(tuple(float(x) for x in vals), "jacobi", _certify(residual, vals, "spectrum"))
 
 
-def adjacency_spectra(graphs: Sequence[Graph]) -> np.ndarray:
-    """All adjacency eigenvalues of same-order graphs, one row each, descending.
+def adjacency_spectra(rows) -> np.ndarray:
+    """All adjacency eigenvalues of each graph of an (N, n) array of
+    neighbour masks, one row each, descending.
 
-    Returns an (N, n) array; graphs of mixed orders raise ValueError.
+    Returns an (N, n) array; rows of mixed lengths raise ValueError.
     LAPACK ``eigh`` runs on blocks of at most _BLOCK matrices, and each
     block is certified by its largest eigenpair residual
     (``_certified_residual``).
     """
-    if graphs and graphs[0].n == 0:
+    rows = np.asarray(rows)
+    if rows.shape[1] == 0:
         raise EmptyGraph("spectrum of the order-0 graph is undefined")
-    blocks = []
-    for start in range(0, len(graphs), _BLOCK):
-        a = adjacency_matrices(graphs[start:start + _BLOCK])
+    out = np.empty(rows.shape)
+    for start in range(0, len(rows), _BLOCK):
+        a = _matrices(rows[start:start + _BLOCK], False)
         vals, vecs = np.linalg.eigh(a)
         _certified_residual(a, vals, vecs, "spectrum")
-        blocks.append(vals[:, ::-1])
-    return np.concatenate(blocks) if blocks else np.empty((0, 0))
+        out[start:start + _BLOCK] = vals[:, ::-1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -215,27 +220,36 @@ def adjacency_spectra(graphs: Sequence[Graph]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _extreme(g: Graph, matrix_fn, index: int, what: str) -> float:
-    if g.n == 0:
-        raise EmptyGraph(f"{what} of the order-0 graph is undefined")
-    if max_degree(g) == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(matrix_fn(g))[index])
+def extreme_eigenvalues(rows: np.ndarray, signless: bool, index: int) -> np.ndarray:
+    """Eigenvalue ``index`` in ascending order (0 the least, -1 the largest)
+    of A, or of Q = D + A when ``signless``, for each graph of an (N, n)
+    array of neighbour masks.
+
+    LAPACK ``eigvalsh`` runs on blocks of at most _BLOCK matrices.  An
+    edgeless graph reads +0.0.
+    """
+    if rows.shape[1] == 0:
+        raise EmptyGraph("eigenvalues of the order-0 graph are undefined")
+    out = np.empty(len(rows))
+    for start in range(0, len(rows), _BLOCK):
+        block = _matrices(rows[start:start + _BLOCK], signless)
+        out[start:start + _BLOCK] = np.linalg.eigvalsh(block)[:, index]
+    return out
 
 
 def spectral_radius(g: Graph) -> float:
     """Largest adjacency eigenvalue."""
-    return _extreme(g, adjacency_matrix, -1, "spectral radius")
+    return float(extreme_eigenvalues(_rows(g), False, -1)[0])
 
 
 def least_eigenvalue(g: Graph) -> float:
     """Smallest adjacency eigenvalue."""
-    return _extreme(g, adjacency_matrix, 0, "least eigenvalue")
+    return float(extreme_eigenvalues(_rows(g), False, 0)[0])
 
 
 def signless_laplacian_radius(g: Graph) -> float:
     """Largest eigenvalue of Q = D + A (positive semidefinite)."""
-    return _extreme(g, signless_laplacian_matrix, -1, "signless Laplacian radius")
+    return float(extreme_eigenvalues(_rows(g), True, -1)[0])
 
 
 def perron_vector(g: Graph) -> PerronData:
@@ -252,7 +266,7 @@ def perron_vector(g: Graph) -> PerronData:
         raise EmptyGraph("Perron vector of the order-0 graph is undefined")
     if not is_connected(g):
         raise Disconnected("Perron vector requires a connected graph")
-    a = adjacency_matrix(g)
+    a = _matrices(_rows(g), False)[0]
     vals, vecs = np.linalg.eigh(a)
     rho = float(vals[-1])
     vec = np.abs(vecs[:, -1])

@@ -56,13 +56,36 @@ def doctor_spectra(monkeypatch, n: int, index: int, row) -> None:
     of its order-n level; every other row stays real."""
     real = search.adjacency_spectra
 
-    def doctored(graphs):
-        out = real(graphs)
-        if graphs[0].n == n:
+    def doctored(rows):
+        out = real(rows)
+        if rows.shape[1] == n:
             out[index] = row
         return out
 
     monkeypatch.setattr(search, "adjacency_spectra", doctored)
+
+
+def degrees(g: Graph) -> tuple[int, ...]:
+    return tuple(bin(row).count("1") for row in g.adj)
+
+
+def max_degree(g: Graph) -> int:
+    return max(degrees(g), default=0)
+
+
+def edge_count(g: Graph) -> int:
+    return sum(degrees(g)) // 2
+
+
+def adjacency_matrix(g: Graph) -> np.ndarray:
+    """A as a float matrix, entry by entry from the neighbour masks; the
+    oracle for the stacks that ``spectra`` builds."""
+    return np.array([[float(row >> u & 1) for u in range(g.n)] for row in g.adj]).reshape(g.n, g.n)
+
+
+def signless_laplacian_matrix(g: Graph) -> np.ndarray:
+    """Q = D + A, built like ``adjacency_matrix``."""
+    return adjacency_matrix(g) + np.diag(np.array(degrees(g), dtype=float))
 
 
 def is_triangle_free(g: Graph) -> bool:

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import double_star, is_triangle_free, star_forests_up_to, star_graph
+from conftest import double_star, edge_count, is_triangle_free, star_forests_up_to, star_graph
 from starfree.enumeration import GraphClass, enumerate_graphs
 from starfree.errors import NoRegularGraph
 from starfree.families import (
@@ -22,7 +22,6 @@ from starfree.families import (
     signless_radius_bound,
 )
 from starfree.graphs import (
-    edge_count,
     is_bipartite,
     is_connected,
 )

@@ -338,6 +338,20 @@ class TestFastPaths:
         assert len(level) == OEIS[GraphClass.ALL][7]
         assert retained <= 32 * len(level), retained / len(level)
 
+    def test_iteration_converts_the_level_in_blocks(self, cache):
+        # the stream turns a few thousand rows into Python ints at a time:
+        # converting all 12 346 rows of `all` 8 at once peaked at about
+        # 1.5 MB, and blocks of 4096 at about 0.5 MB
+        cache.level("all", 8)
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in enumerate_graphs(8, GraphClass.ALL, cache))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == OEIS[GraphClass.ALL][7]
+        assert peak < 1 << 20, peak
+
     def test_generators_only_for_parents(self, cache, monkeypatch):
         # generators are made for the parents being extended, not for the
         # children: building all 8 closes cosets for at most the 1 044

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import count_calls, cycle_graph
+from conftest import count_calls, cycle_graph, degrees, edge_count, max_degree
 from starfree.errors import (
     DivisionByZeroK2,
     NegativeDiscriminant,
@@ -28,13 +28,10 @@ from starfree.families import (
 )
 from starfree.graphs import (
     canonical_form,
-    degrees,
-    edge_count,
     edges,
     from_edges,
     graph6_decode,
     is_connected,
-    max_degree,
 )
 from starfree import star_forests
 from starfree.spectra import (

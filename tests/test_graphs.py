@@ -9,8 +9,11 @@ from conftest import (
     brute_min_cols,
     check_invariants,
     cycle_graph,
+    degrees,
+    edge_count,
     group_closure,
     is_triangle_free,
+    max_degree,
     path_graph,
     reference_colors,
     star_graph,
@@ -24,8 +27,6 @@ from starfree.graphs import (
     adjacency_bits,
     canonical_form,
     complete_graph,
-    degrees,
-    edge_count,
     edges,
     empty_graph,
     from_edges,
@@ -34,7 +35,6 @@ from starfree.graphs import (
     is_bipartite,
     is_connected,
     join,
-    max_degree,
     relabel,
     union,
 )

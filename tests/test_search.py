@@ -1,17 +1,32 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from conftest import Unbuildable, doctor_spectra
-from starfree.enumeration import GraphClass
-from starfree.errors import EmptyClass, OrderTooLarge, ParamOutOfRange, ParseError
+from conftest import (
+    Unbuildable,
+    adjacency_matrix,
+    doctor_spectra,
+    edge_count,
+    signless_laplacian_matrix,
+)
+from starfree import search
+from starfree.enumeration import GraphClass, enumerate_graphs
+from starfree.errors import (
+    EmptyClass,
+    NegativeDiscriminant,
+    OrderTooLarge,
+    ParamOutOfRange,
+    ParseError,
+)
 from starfree.families import (
     make_clique_join_matching,
     make_complete_bipartite,
     radius_bound_general,
+    signless_radius_bound,
 )
-from starfree.graphs import canonical_form, graph6_decode
+from starfree.graphs import canonical_form, graph6_decode, graph6_encode
 from starfree.search import (
     applicable_bound,
     conjecture_margin_table,
@@ -23,9 +38,92 @@ from starfree.search import (
     write_records,
 )
 from starfree.spectra import spectral_radius
-from starfree.star_forests import StarForest, avoids_star_forest
+from starfree.star_forests import (
+    StarForest,
+    avoids_star_forest,
+    coarse_edge_bound,
+    contains_star_forest,
+    contains_star_forest_oracle,
+)
 
 TOL = 1e-9
+
+
+#: The forests of the scan oracle: two to three stars, orders 5 to 7.
+ORACLE_FORESTS = ((2, 1), (1, 1, 1), (2, 2), (2, 1, 1), (3, 2))
+
+
+def check_scans_against_loop(n, forest, graph_class, cache, contains, edge_bound=None):
+    """The three class scans against one per-graph loop written here: the
+    class stream, ``contains``, and ``eigvalsh`` on matrices built from
+    ``g.adj``.  Everything must be equal exactly, floats included.  With
+    ``edge_bound`` set, it replaces the coarse edge bound in both."""
+    members = list(enumerate_graphs(n, graph_class, cache))
+    free = [g for g in members if not contains(g, forest)]
+    codes = [graph6_encode(g) for g in free]
+    rho = [np.linalg.eigvalsh(adjacency_matrix(g))[-1] for g in free]
+    q = [np.linalg.eigvalsh(signless_laplacian_matrix(g))[-1] for g in free]
+
+    if free:
+        rec = extremal_search(n, forest, graph_class, cache)
+        assert (rec.count_enumerated, rec.count_free) == (len(members), len(free))
+        assert rec.max_rho == max(rho)
+        assert rec.argmax == tuple(c for c, r in zip(codes, rho) if r >= max(rho) - TOL)
+    else:
+        with pytest.raises(EmptyClass):
+            extremal_search(n, forest, graph_class, cache)
+
+    try:
+        bound = signless_radius_bound(n, forest.k, forest.degrees[-1])
+    except NegativeDiscriminant:
+        with pytest.raises(NegativeDiscriminant):
+            conjecture_margin_table(n, forest, graph_class, cache)
+    else:
+        table = conjecture_margin_table(n, forest, graph_class, cache)
+        assert [(r.graph6, r.q, r.margin) for r in table.rows] == [
+            (c, x, x - bound) for c, x in zip(codes, q)]
+        assert table.max_margin == max((x - bound for x in q), default=-math.inf)
+        assert table.exceeders == tuple(c for c, x in zip(codes, q) if x - bound > TOL)
+
+    if n < forest.order:
+        with pytest.raises(ParamOutOfRange):
+            verify_edge_bound(n, forest, graph_class, cache)
+        return
+    bound = coarse_edge_bound(forest, n) if edge_bound is None else edge_bound
+    got = verify_edge_bound(n, forest, graph_class, cache)
+    assert [(v.graph6, v.edges, v.bound) for v in got] == [
+        (c, edge_count(g), bound) for c, g in zip(codes, free) if edge_count(g) > bound]
+
+
+class TestScanOracle:
+    """`extremal_search`, `conjecture_margin_table` and `verify_edge_bound`
+    share one row scan; a plain loop over the class must agree with it."""
+
+    def test_every_class_up_to_seven(self, cache):
+        for degrees in ORACLE_FORESTS:
+            for graph_class in GraphClass:
+                for n in range(1, 8):
+                    check_scans_against_loop(n, StarForest(degrees), graph_class, cache,
+                                             contains_star_forest_oracle)
+
+    def test_edge_counts_past_a_lowered_bound(self, cache, monkeypatch):
+        # the coarse bound is proved, so the real scans report nothing; at
+        # bound n = 7 the edge counts of the rows decide every violation
+        monkeypatch.setattr(search, "coarse_edge_bound", lambda forest, n: n)
+        for degrees in ((3, 2), (1, 1, 1)):
+            for graph_class in GraphClass:
+                check_scans_against_loop(7, StarForest(degrees), graph_class, cache,
+                                         contains_star_forest_oracle, edge_bound=7)
+                assert verify_edge_bound(7, StarForest(degrees), graph_class, cache)
+
+    @pytest.mark.slow
+    def test_all_eight_and_bipartite_ten(self, cache):
+        for degrees in ORACLE_FORESTS:
+            for graph_class, n in ((GraphClass.ALL, 8), (GraphClass.CONNECTED, 8),
+                                   (GraphClass.BIPARTITE, 10),
+                                   (GraphClass.CONNECTED_BIPARTITE, 10)):
+                check_scans_against_loop(n, StarForest(degrees), graph_class, cache,
+                                         contains_star_forest)
 
 
 class TestExtremalSearch:

@@ -4,15 +4,22 @@ import random
 import numpy as np
 import pytest
 
-from conftest import cycle_graph, is_triangle_free, path_graph, star_graph
+from conftest import (
+    adjacency_matrix,
+    cycle_graph,
+    degrees,
+    edge_count,
+    is_triangle_free,
+    path_graph,
+    signless_laplacian_matrix,
+    star_graph,
+)
 from starfree import spectra
 from starfree.enumeration import GraphClass, enumerate_graphs
 from starfree.errors import Disconnected, EmptyGraph
 from starfree.families import make_clique_join_matching, radius_bound_general
 from starfree.graphs import (
     complete_graph,
-    degrees,
-    edge_count,
     empty_graph,
     from_edges,
     is_bipartite,
@@ -20,15 +27,13 @@ from starfree.graphs import (
     union,
 )
 from starfree.spectra import (
-    adjacency_matrices,
-    adjacency_matrix,
     adjacency_spectra,
     adjacency_spectrum,
     check_perron_floor,
+    extreme_eigenvalues,
     jacobi_eigensystem,
     least_eigenvalue,
     perron_vector,
-    signless_laplacian_matrix,
     signless_laplacian_radius,
     spectral_radius,
 )
@@ -101,6 +106,11 @@ def batched_levels(cache):
         yield list(enumerate_graphs(n, GraphClass.BIPARTITE, cache))
 
 
+def stack(graphs) -> np.ndarray:
+    """Same-order graphs as one (N, n) array of neighbour masks."""
+    return np.array([g.adj for g in graphs], dtype=np.uint64)
+
+
 class TestBatchedSpectra:
     """The blocked LAPACK path against the Jacobi oracle and exact power sums,
     level by level over `all` <= 7 and `bipartite` <= 9 (1119 = 17 * 64 + 31
@@ -108,7 +118,7 @@ class TestBatchedSpectra:
 
     def test_matches_jacobi(self, cache):
         for level in batched_levels(cache):
-            got = adjacency_spectra(level)
+            got = adjacency_spectra(stack(level))
             assert got.shape == (len(level), level[0].n)
             for g, row in zip(level, got):
                 want = adjacency_spectrum(g).eigenvalues
@@ -116,31 +126,32 @@ class TestBatchedSpectra:
 
     def test_power_sums_are_exact_counts(self, cache):
         for level in batched_levels(cache):
-            got = adjacency_spectra(level)
+            got = adjacency_spectra(stack(level))
             for g, row in zip(level, got):
                 assert abs(row.sum()) <= TOL, g
                 assert abs((row ** 2).sum() - 2 * edge_count(g)) <= TOL, g
                 assert abs((row ** 3).sum() - 6 * triangle_count(g)) <= TOL, g
 
     def test_single_vertex_and_single_graph(self):
-        assert adjacency_spectra([empty_graph(1)]).tolist() == [[0.0]]
-        got = adjacency_spectra([cycle_graph(6)])
+        assert adjacency_spectra(stack([empty_graph(1)])).tolist() == [[0.0]]
+        got = adjacency_spectra(stack([cycle_graph(6)]))
         assert got.shape == (1, 6)
         assert got[0] == pytest.approx((2, 1, 1, -1, -1, -2), abs=TOL)
 
     def test_empty_and_mixed_inputs(self):
-        assert adjacency_spectra([]).shape == (0, 0)
-        with pytest.raises(EmptyGraph):
-            adjacency_spectra([empty_graph(0)])
+        assert adjacency_spectra(np.empty((0, 4), dtype=np.uint16)).shape == (0, 4)
+        for query in (adjacency_spectra, lambda rows: extreme_eigenvalues(rows, False, -1)):
+            with pytest.raises(EmptyGraph):
+                query(stack([empty_graph(0)]))
         with pytest.raises(ValueError):
-            adjacency_spectra([empty_graph(2), empty_graph(3)])
+            adjacency_spectra([empty_graph(2).adj, empty_graph(3).adj])
 
     def test_matrices_match_edges(self):
         rng = random.Random(17)
         for n in (1, 7, 40, 64):
             gs = [from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5])
                   for _ in range(3)]
-            stacked = adjacency_matrices(gs)
+            stacked = spectra._matrices(stack(gs), False)
             assert stacked.shape == (3, n, n) and stacked.dtype == np.float64
             for g, m in zip(gs, stacked):
                 want = np.zeros((n, n))
@@ -149,6 +160,8 @@ class TestBatchedSpectra:
                         want[u, v] = g.adj[u] >> v & 1
                 assert np.array_equal(m, want)
                 assert np.array_equal(adjacency_matrix(g), want)
+            for g, m in zip(gs, spectra._matrices(stack(gs), True)):
+                assert np.array_equal(m, signless_laplacian_matrix(g))
 
     def test_uncertified_block_raises(self, monkeypatch):
         real = np.linalg.eigh
@@ -159,7 +172,7 @@ class TestBatchedSpectra:
 
         monkeypatch.setattr(np.linalg, "eigh", perturbed)
         with pytest.raises(ArithmeticError):
-            adjacency_spectra([path_graph(4), cycle_graph(4)])
+            adjacency_spectra(stack([path_graph(4), cycle_graph(4)]))
 
     def test_blocks_bound_each_eigh_call(self, monkeypatch, cache):
         sizes = []
@@ -170,8 +183,52 @@ class TestBatchedSpectra:
             return real(m)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        level = list(enumerate_graphs(9, GraphClass.BIPARTITE, cache))
+        level = cache.level("bipartite", 9)
         adjacency_spectra(level)
+        assert max(sizes) == spectra._BLOCK
+        assert sum(sizes) == len(level) == 1119
+        assert len(sizes) == -(-len(level) // spectra._BLOCK)
+
+
+class TestExtremeEigenvalues:
+    """The one extreme-eigenvalue path on whole levels: `all` <= 7 and
+    `bipartite` <= 9, so block boundaries are crossed."""
+
+    def test_same_bits_as_one_graph_at_a_time(self, cache):
+        # LAPACK solves each matrix of a stack alone, so a block changes no bit
+        for level in batched_levels(cache):
+            rows = stack(level)
+            for signless, index, matrix in ((False, -1, adjacency_matrix), (False, 0, adjacency_matrix),
+                                            (True, -1, signless_laplacian_matrix)):
+                got = extreme_eigenvalues(rows, signless, index)
+                want = [np.linalg.eigvalsh(matrix(g))[index] for g in level]
+                assert got.tolist() == want
+
+    def test_scalars_are_stacks_of_one(self, cache):
+        for level in batched_levels(cache):
+            rows = stack(level)
+            for query, signless, index in ((spectral_radius, False, -1), (least_eigenvalue, False, 0),
+                                           (signless_laplacian_radius, True, -1)):
+                assert [query(g) for g in level] == extreme_eigenvalues(rows, signless, index).tolist()
+
+    def test_edgeless_reads_positive_zero(self):
+        for n in (1, 5, 64):
+            rows = stack([empty_graph(n)])
+            for signless, index in ((False, -1), (False, 0), (True, -1)):
+                value = extreme_eigenvalues(rows, signless, index)[0]
+                assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    def test_blocks_bound_each_eigvalsh_call(self, monkeypatch, cache):
+        sizes = []
+        real = np.linalg.eigvalsh
+
+        def counted(m):
+            sizes.append(m.shape[0])
+            return real(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        level = cache.level("bipartite", 9)
+        extreme_eigenvalues(level, True, -1)
         assert max(sizes) == spectra._BLOCK
         assert sum(sizes) == len(level) == 1119
         assert len(sizes) == -(-len(level) // spectra._BLOCK)

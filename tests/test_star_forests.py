@@ -3,11 +3,10 @@ import random
 
 import pytest
 
-from conftest import cycle_graph, path_graph, star_forests_up_to, star_graph
+from conftest import cycle_graph, edge_count, path_graph, star_forests_up_to, star_graph
 from starfree.errors import ParamOutOfRange, ParseError
 from starfree.graphs import (
     complete_graph,
-    edge_count,
     empty_graph,
     from_edges,
     join,
