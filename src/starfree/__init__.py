@@ -40,8 +40,6 @@ from .graphs import (
     from_edges,
     graph6_decode,
     graph6_encode,
-    is_bipartite,
-    is_connected,
     join,
     relabel,
     union,

@@ -28,9 +28,10 @@ automorphism generators are made for that block only
 parent's group only while that parent is extended, so no child's is ever
 made or kept.  The block's attachment masks are pre-tested as one
 (parents, masks) table (the degree test, and for the bipartite tree the
-bipartition test; both keep whole orbits), then reduced to one
-representative per orbit of each parent's group by one min-label
-propagation over the kept (parent, mask) pairs (``_mask_orbit_reps``).  By
+odd-walk test, from one ``graphs._walks`` pass on the block's rows; both
+keep whole orbits), then reduced to one representative per orbit of each
+parent's group by one min-label propagation over the kept (parent, mask)
+pairs (``_mask_orbit_reps``).  By
 McKay's theorem (B. D. McKay, "Isomorph-free exhaustive generation", J.
 Algorithms 26 (1998), section 4) the accepted children of one parent are
 then pairwise non-isomorphic, and each class is accepted from one parent
@@ -47,8 +48,11 @@ by code.
 
 Bipartite graphs are closed under vertex deletion, so the bipartite classes
 are generated by the same augmentation restricted to bipartite parents and
-bipartition-compatible masks.  Connectivity is not deletion-closed and is
-filtered at emission instead.
+to the masks with no two vertices joined by an odd walk of the parent: a
+new odd closed walk must pass through the new vertex, so it joins two of
+its neighbours by an odd walk.  Connectivity is not deletion-closed, so
+``enumerate_graphs`` cuts each block of 4096 level rows that it converts
+by one row mask, from one walk pass (``graphs._connected``).
 """
 
 from __future__ import annotations
@@ -63,13 +67,12 @@ from .graphs import (
     Graph,
     _automorphism_generators,
     _canonical_forms,
+    _connected,
     _graph6_order,
     _refine,
+    _walks,
     adjacency_bits,
     canonical_form,
-    connected_components,
-    is_bipartite,
-    is_connected,
 )
 
 #: Practical ceilings: every level is held in memory, and order 10 of the
@@ -154,39 +157,33 @@ def _mask_orbit_reps(keep: np.ndarray, bits: np.ndarray,
         label = low
 
 
-def _bipartite_masks(g: Graph, masks: np.ndarray) -> np.ndarray:
-    """Which masks keep the bipartite graph g bipartite when added.
-
-    The new vertex's neighbours must lie in one side of some bipartition;
-    sides can be flipped per component independently, so a mask works iff its
-    restriction to every component fits inside one of that component's two
-    colour classes.
-    """
-    side0, side1 = is_bipartite(g)
-    ok = np.ones(len(masks), dtype=bool)
-    for comp in connected_components(g):
-        ok &= ((masks & (comp & side0)) == 0) | ((masks & (comp & side1)) == 0)
-    return ok
-
-
 def _children(parents: np.ndarray, bipartite_only: bool) -> Iterator[np.ndarray]:
     """The pre-tested children, one per orbit of its parent's group on the
     masks, as one block of neighbour-mask rows per block of _BLOCK parents
     (parent order, then mask order)."""
     m = parents.shape[1]
-    masks = np.arange(1 << m)
+    masks = np.arange(1 << m, dtype=np.uint16)
     bits = masks[:, None] >> np.arange(m) & 1
+    single = np.uint16(1) << np.arange(m, dtype=np.uint16)
     for start in range(0, len(parents), _BLOCK):
         block = parents[start:start + _BLOCK]
         # degree pre-test: the child's largest old degree is top, plus one if
-        # the new vertex is adjacent to a vertex of degree top.  Both tests
-        # keep whole orbits: an automorphism keeps degrees, and maps each
-        # component's colour classes onto a component's
+        # the new vertex is adjacent to a vertex of degree top.  The parents
+        # are bipartite on the bipartite tree, so there a mask keeps the
+        # child bipartite iff no odd walk joins two of its vertices.  Both
+        # tests keep whole orbits: an automorphism keeps degrees and walks
         deg = adjacency_bits(block).sum(axis=2)
         top = deg.max(axis=1, keepdims=True)
         keep = bits.sum(axis=1) >= top + ((deg == top) @ bits.T > 0)
         if bipartite_only:
-            keep &= [_bipartite_masks(Graph(m, tuple(row)), masks) for row in block.tolist()]
+            # joined[:, mask] holds the vertices that an odd walk joins to a
+            # vertex of the mask; the masks below 2^(v+1) with bit v set are
+            # those below 2^v plus v, so each pass appends them
+            _, odd = _walks(block, np.broadcast_to(single, block.shape))
+            joined = np.zeros((len(block), 1), dtype=np.uint16)
+            for v in range(m):
+                joined = np.concatenate([joined, joined | odd[:, v, None]], axis=1)
+            keep &= joined & masks == 0
         parent, mask = _mask_orbit_reps(keep, bits, _automorphism_generators(block))
         yield np.concatenate([block[parent] | bits[mask] << m, mask[:, None]], axis=1)
 
@@ -243,8 +240,8 @@ def enumerate_graphs(
         cache = EnumerationCache()
     level = cache.level("bipartite" if graph_class.bipartite_only else "all", n)
     for start in range(0, len(level), 4096):
-        for row in level[start:start + 4096].tolist():
-            g = Graph(n, tuple(row))
-            if graph_class.connected_only and not is_connected(g):
-                continue
-            yield g
+        rows = level[start:start + 4096]
+        if graph_class.connected_only:
+            rows = rows[_connected(rows)]
+        for row in rows.tolist():
+            yield Graph(n, tuple(row))

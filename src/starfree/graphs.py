@@ -29,6 +29,14 @@ without writing one (``_graph6_order``).  Walking the tree breadth first is
 the approach of Traces (B. D. McKay and A. Piperno, "Practical graph
 isomorphism, II", J. Symb. Comput. 60 (2014)).
 
+Connectivity and bipartiteness have one path, ``_walks``: one batched
+pass on a stack of rows that finds, from each start mask, the vertices
+that walks of even and of odd length reach, by steps on the masks.  A
+graph is connected iff walks from vertex 0 reach every vertex
+(``_connected``), and bipartite iff no odd walk returns to its start
+(D. Konig, 1936), so the enumerator's bipartite pre-test reads the odd
+reach of each vertex.
+
 Rows leave the bitmask form in one place: ``adjacency_bits`` unpacks a stack
 of rows into 0/1 matrices, for the spectra and for the refinement.  The
 refinement (``_refine``) has one path, batched over a stack of same-order
@@ -49,7 +57,7 @@ themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -184,59 +192,39 @@ def edges(g: Graph) -> list[tuple[int, int]]:
     return [(v, u) for v in range(g.n) for u in _bits(g.adj[v] >> (v + 1) << (v + 1))]
 
 
-def _component(g: Graph, start: int) -> int:
-    """Vertex mask of the component that holds the single-vertex mask ``start``."""
-    seen = frontier = start
-    while frontier:
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen
+def _walks(rows: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices that walks of even and of odd length reach from each of
+    an (N, S) array of start masks, on an (N, n) stack of neighbour masks.
 
-
-def is_connected(g: Graph) -> bool:
-    """Connectivity; the order-0 and order-1 graphs count as connected."""
-    return g.n <= 1 or _component(g, 1) == (1 << g.n) - 1
-
-
-def connected_components(g: Graph) -> list[int]:
-    """Vertex masks of the connected components, lowest vertex first."""
-    remaining = (1 << g.n) - 1
-    comps = []
-    while remaining:
-        comp = _component(g, remaining & -remaining)
-        comps.append(comp)
-        remaining &= ~comp
-    return comps
-
-
-def is_bipartite(g: Graph) -> Optional[tuple[int, int]]:
-    """Return a 2-colouring as a pair of vertex masks, or None.
-
-    Each component is coloured from its lowest vertex, which lands in the
-    first mask, so the output is deterministic.
+    Returns (even, odd), (N, S) masks of the rows' dtype.  u has a neighbour
+    in a set X iff rows[u] & X != 0, so a step stays on the masks.  An odd
+    walk is an even walk and one step more, so odd = N(even), and even =
+    starts | N(odd).  Each step grows every even set that is not yet final
+    by a vertex, so at most n steps reach the fixed point.  By Konig's
+    theorem a graph is bipartite iff no odd walk joins a vertex to itself.
     """
-    colour = [-1] * g.n
-    side = [0, 0]
-    for start in range(g.n):
-        if colour[start] != -1:
-            continue
-        colour[start] = 0
-        side[0] |= 1 << start
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            want = 1 - colour[v]
-            for u in _bits(g.adj[v]):
-                if colour[u] == -1:
-                    colour[u] = want
-                    side[want] |= 1 << u
-                    queue.append(u)
-                elif colour[u] != want:
-                    return None
-    return side[0], side[1]
+    weight = rows.dtype.type(1) << np.arange(rows.shape[1], dtype=rows.dtype)
+
+    def step(masks):
+        return (rows[:, None, :] & masks[:, :, None] != 0) @ weight
+
+    even = starts
+    while True:
+        odd = step(even)
+        grown = starts | step(odd)
+        if np.array_equal(grown, even):
+            return even, odd
+        even = grown
+
+
+def _connected(rows: np.ndarray) -> np.ndarray:
+    """Which graphs of an (N, n) stack of neighbour masks are connected:
+    walks from vertex 0 reach every vertex.  Orders 0 and 1 count as
+    connected."""
+    n = rows.shape[1]
+    full = rows.dtype.type((1 << n) - 1)
+    even, odd = _walks(rows, np.full((len(rows), 1), n > 0, dtype=rows.dtype))
+    return (even | odd)[:, 0] == full
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Disconnected, EmptyGraph
-from .graphs import Graph, adjacency_bits, is_connected
+from .graphs import Graph, _connected, adjacency_bits
 
 #: Jacobi stops when the off-diagonal Frobenius norm drops below this times
 #: max(1, ||M||_F), or after _MAX_SWEEPS sweeps.
@@ -264,9 +264,10 @@ def perron_vector(g: Graph) -> PerronData:
     """
     if g.n == 0:
         raise EmptyGraph("Perron vector of the order-0 graph is undefined")
-    if not is_connected(g):
+    rows = _rows(g)
+    if not _connected(rows)[0]:
         raise Disconnected("Perron vector requires a connected graph")
-    a = _matrices(_rows(g), False)[0]
+    a = _matrices(rows, False)[0]
     vals, vecs = np.linalg.eigh(a)
     rho = float(vals[-1])
     vec = np.abs(vecs[:, -1])

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ParamOutOfRange, ParseError
 from .graphs import Graph, _bits
@@ -65,7 +66,7 @@ class StarForest:
     def leaf_total(self) -> int:
         return sum(self.degrees)
 
-    @property
+    @cached_property  # read once per graph by contains_star_forest
     def order(self) -> int:
         return self.leaf_total + self.k
 

@@ -92,6 +92,43 @@ def is_triangle_free(g: Graph) -> bool:
     return not any(g.adj[v] & g.adj[u] for v, u in edges(g))
 
 
+def is_connected(g: Graph) -> bool:
+    """Connectivity by a depth-first search over ``g.adj``, the oracle for
+    the walks of ``graphs._connected``; orders 0 and 1 count as connected."""
+    seen = {0} if g.n else set()
+    stack = list(seen)
+    while stack:
+        v = stack.pop()
+        for u in range(g.n):
+            if g.adj[v] >> u & 1 and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == g.n
+
+
+def is_bipartite(g: Graph) -> bool:
+    """Whether g has a 2-colouring, found by a depth-first search over
+    ``g.adj`` from each uncoloured vertex; the oracle for the odd walks of
+    ``graphs._walks``."""
+    colour: dict[int, int] = {}
+    for start in range(g.n):
+        if start in colour:
+            continue
+        colour[start] = 0
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for u in range(g.n):
+                if not g.adj[v] >> u & 1:
+                    continue
+                if u not in colour:
+                    colour[u] = 1 - colour[v]
+                    stack.append(u)
+                elif colour[u] == colour[v]:
+                    return False
+    return True
+
+
 def check_invariants(g: Graph) -> None:
     """Raise AssertionError unless adjacency is symmetric, loop-free, in range."""
     assert 0 <= g.n <= MAX_ORDER and len(g.adj) == g.n

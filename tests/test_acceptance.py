@@ -10,7 +10,15 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import double_star, edge_count, is_triangle_free, star_forests_up_to, star_graph
+from conftest import (
+    double_star,
+    edge_count,
+    is_bipartite,
+    is_connected,
+    is_triangle_free,
+    star_forests_up_to,
+    star_graph,
+)
 from starfree.enumeration import GraphClass, enumerate_graphs
 from starfree.errors import NoRegularGraph
 from starfree.families import (
@@ -20,10 +28,6 @@ from starfree.families import (
     make_complete_bipartite,
     make_complete_split,
     signless_radius_bound,
-)
-from starfree.graphs import (
-    is_bipartite,
-    is_connected,
 )
 from starfree.search import (
     conjecture_margin_table,
@@ -113,7 +117,7 @@ def test_criterion_05_bipartite_small_order_families(cache):
         free_family = [g for g in family if avoids_star_forest(g, f)]
         assert len(free_family) >= 2  # the star and at least one lopsided double star
         for g in free_family:
-            assert is_connected(g) and is_bipartite(g) is not None
+            assert is_connected(g) and is_bipartite(g)
             assert spectral_radius(g) <= cap + TOL
         assert spectral_radius(star_graph(17)) == pytest.approx(cap, abs=TOL)
         # every double star with two leaves on each side hosts the forest
@@ -207,7 +211,7 @@ def test_criterion_10_solver_hygiene(cache):
                 assert abs(sum(vals)) <= 1e-8 * n
                 assert abs(sum(x * x for x in vals) - 2 * edge_count(g)) <= 1e-8 * n
                 assert abs(spectral_radius(g) - vals[0]) <= TOL
-                if is_bipartite(g) is not None:
+                if is_bipartite(g):
                     for lo, hi in zip(reversed(vals), vals):
                         assert abs(lo + hi) <= TOL
                 if is_triangle_free(g):

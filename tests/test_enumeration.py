@@ -11,6 +11,8 @@ from conftest import (
     canonical_rows,
     count_calls,
     group_closure,
+    is_bipartite,
+    is_connected,
     labeled_rows,
     level_codes,
     reference_colors,
@@ -23,7 +25,6 @@ from starfree.enumeration import (
     BIPARTITE_CEILING,
     EnumerationCache,
     GraphClass,
-    _bipartite_masks,
     _children,
     _extend,
     _mask_orbit_reps,
@@ -40,8 +41,6 @@ from starfree.graphs import (
     _twin_swaps,
     adjacency_bits,
     canonical_form,
-    is_bipartite,
-    is_connected,
     relabel,
 )
 
@@ -52,7 +51,7 @@ def census_counts(n: int) -> dict:
     out = {c: 0 for c in GraphClass}
     for row in np.unique(canonical_rows(labeled_rows(n)), axis=0).tolist():
         g = Graph(n, tuple(row))
-        bip = is_bipartite(g) is not None
+        bip = is_bipartite(g)
         conn = is_connected(g)
         out[GraphClass.ALL] += 1
         if conn:
@@ -172,9 +171,9 @@ class TestCounts:
 
     def test_class_predicates_respected(self, cache):
         for g in enumerate_graphs(6, GraphClass.CONNECTED_BIPARTITE, cache):
-            assert is_connected(g) and is_bipartite(g) is not None
+            assert is_connected(g) and is_bipartite(g)
         for g in enumerate_graphs(6, GraphClass.BIPARTITE, cache):
-            assert is_bipartite(g) is not None
+            assert is_bipartite(g)
 
 
 #: The parent levels whose children the fast-path oracles below cover: the
@@ -199,7 +198,7 @@ def pretested_masks(g: Graph, bipartite_only: bool) -> list[int]:
         child = [row | (mask >> v & 1) << g.n for v, row in enumerate(g.adj)] + [mask]
         if mask.bit_count() < max(row.bit_count() for row in child):
             continue
-        if bipartite_only and is_bipartite(Graph(g.n + 1, tuple(child))) is None:
+        if bipartite_only and not is_bipartite(Graph(g.n + 1, tuple(child))):
             continue
         pool.append(mask)
     return pool
@@ -246,14 +245,28 @@ class TestFastPaths:
                 parents += sum(len(want) < len(pool) for want, pool in zip(wants, pools))
         assert parents > 100
 
-    def test_bipartite_masks_keep_the_child_bipartite(self, cache):
+    def test_bipartite_masks_keep_the_child_bipartite(self, cache, monkeypatch):
+        # on blocks of 1, 7 and all parents, the bipartite tree's pre-test
+        # table is the degree pre-test's table cut to the masks whose child
+        # is bipartite
+        calls = count_calls(monkeypatch, "_mask_orbit_reps", enumeration_module)
+        cut = 0
         for m in range(1, 8):
-            masks, _ = mask_bits(m)
-            for g in level_graphs(cache.level("bipartite", m)):
-                want = [is_bipartite(Graph(m + 1, tuple(
-                    row | (mask >> v & 1) << m for v, row in enumerate(g.adj)) + (mask,))) is not None
-                    for mask in range(1 << m)]
-                assert _bipartite_masks(g, masks).tolist() == want
+            level = cache.level("bipartite", m)
+            want = np.array([[is_bipartite(Graph(m + 1, tuple(
+                row | (mask >> v & 1) << m for v, row in enumerate(g.adj)) + (mask,)))
+                for mask in range(1 << m)] for g in level_graphs(level)])
+            for block in (1, 7, len(level)):
+                monkeypatch.setattr(enumeration_module, "_BLOCK", block)
+                tables = []
+                for bipartite_only in (False, True):
+                    calls.clear()
+                    list(_children(level, bipartite_only))
+                    tables.append(np.concatenate([keep for keep, _, _ in calls]))
+                degree, both = tables
+                assert np.array_equal(both, degree & want), (m, block)
+            cut += int((degree & ~want).sum())
+        assert cut > 100
 
     def test_every_child_matches_the_search(self, cache):
         # every child that passes both pre-tests must get from the labelling
@@ -324,6 +337,18 @@ class TestFastPaths:
         _extend(cache.level("all", 7), False)
         blocks = -(-OEIS[GraphClass.ALL][6] // enumeration_module._BLOCK)
         assert {name: len(made) for name, made in calls.items()} == dict.fromkeys(names, blocks)
+
+    def test_no_graph_per_bipartite_parent(self, cache, monkeypatch):
+        # the bipartite pre-test is one walk pass per block of parents and
+        # builds no Graph: bipartite 9 from the 303 graphs of bipartite 8
+        def refuse(*args):
+            raise AssertionError("Graph built during a level build")
+
+        calls = count_calls(monkeypatch, "_walks", enumeration_module)
+        monkeypatch.setattr(enumeration_module, "Graph", refuse)
+        level = _extend(cache.level("bipartite", 8), True)
+        assert len(level) == OEIS[GraphClass.BIPARTITE][8]
+        assert len(calls) == -(-OEIS[GraphClass.BIPARTITE][7] // enumeration_module._BLOCK)
 
     def test_level_is_held_in_arrays(self, cache):
         # a level keeps its uint16 masks only (16 bytes a class at order 8),

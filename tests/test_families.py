@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import count_calls, cycle_graph, degrees, edge_count, max_degree
+from conftest import count_calls, cycle_graph, degrees, edge_count, is_connected, max_degree
 from starfree.errors import (
     DivisionByZeroK2,
     NegativeDiscriminant,
@@ -31,7 +31,6 @@ from starfree.graphs import (
     edges,
     from_edges,
     graph6_decode,
-    is_connected,
 )
 from starfree import star_forests
 from starfree.spectra import (

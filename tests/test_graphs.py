@@ -12,6 +12,8 @@ from conftest import (
     degrees,
     edge_count,
     group_closure,
+    is_bipartite,
+    is_connected,
     is_triangle_free,
     max_degree,
     path_graph,
@@ -22,8 +24,11 @@ from starfree.enumeration import GraphClass, enumerate_graphs
 from starfree.errors import BadEdge, OrderTooLarge, ParseError
 from starfree.graphs import (
     CANONICAL_CEILING,
+    Graph,
+    _connected,
     _min_code_leaves,
     _refine,
+    _walks,
     adjacency_bits,
     canonical_form,
     complete_graph,
@@ -32,8 +37,6 @@ from starfree.graphs import (
     from_edges,
     graph6_decode,
     graph6_encode,
-    is_bipartite,
-    is_connected,
     join,
     relabel,
     union,
@@ -107,15 +110,13 @@ class TestConstruction:
 class TestPredicates:
     def test_complete_bipartite_facts(self):
         g = join(empty_graph(2), empty_graph(3))
-        sides = is_bipartite(g)
-        assert sides is not None
-        assert sorted(s.bit_count() for s in sides) == [2, 3]
+        assert is_bipartite(g)
         assert max_degree(g) == 3
         assert is_connected(g)
         assert is_triangle_free(g)
 
     def test_triangle(self):
-        assert is_bipartite(complete_graph(3)) is None
+        assert not is_bipartite(complete_graph(3))
         assert not is_triangle_free(complete_graph(3))
 
     def test_join_hub_degree(self):
@@ -129,16 +130,70 @@ class TestPredicates:
         assert is_connected(empty_graph(0))
         assert is_connected(empty_graph(1))
         assert not is_connected(empty_graph(2))
-        assert is_bipartite(empty_graph(0)) == (0, 0)
+        assert is_bipartite(empty_graph(0))
         assert max_degree(empty_graph(0)) == 0
 
     def test_components_and_edge_access(self):
-        from starfree.graphs import connected_components, edges
-
         g = union(path_graph(3), complete_graph(2))
-        assert connected_components(g) == [0b00111, 0b11000]
+        singles = np.array([[1 << v for v in range(5)]], dtype="<u8")
+        even, odd = _walks(np.array([g.adj], dtype="<u8"), singles)
+        assert even.tolist() == [[0b00101, 0b00010, 0b00101, 0b01000, 0b10000]]
+        assert odd.tolist() == [[0b00010, 0b00101, 0b00010, 0b10000, 0b01000]]
+        assert not is_connected(g)
         assert g.adj[0] >> 1 & 1 and not g.adj[0] >> 2 & 1
         assert edges(g) == [(0, 1), (1, 2), (3, 4)]
+
+
+def walk_stacks(cache):
+    """Same-order stacks of graphs for the walk pass: every graph of all <= 7
+    and bipartite <= 9, then random graphs of orders 16, 40, 63 and 64, some
+    disconnected, with a path and two cliques of each of those orders."""
+    for base, top in (("all", 7), ("bipartite", 9)):
+        for n in range(1, top + 1):
+            level = cache.level(base, n)
+            yield [Graph(n, tuple(row)) for row in level.tolist()]
+    rng = random.Random(23)
+    for n in (16, 40, 63, 64):
+        graphs = [random_graph(rng, n, p) for p in (0.02, 0.05, 0.1, 0.2) for _ in range(10)]
+        yield graphs + [path_graph(n), union(complete_graph(n // 2), complete_graph(n - n // 2))]
+
+
+class TestWalks:
+    def test_connected_matches_the_oracle(self, cache):
+        kinds = set()
+        for graphs in walk_stacks(cache):
+            rows = np.array([g.adj for g in graphs], dtype="<u8")
+            want = [is_connected(g) for g in graphs]
+            assert _connected(rows).tolist() == want, graphs[0].n
+            kinds.update((g.n > 9, w) for g, w in zip(graphs, want))
+        assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_connected_matches_networkx(self, cache):
+        nx = pytest.importorskip("networkx")
+        for graphs in walk_stacks(cache):
+            rows = np.array([g.adj for g in graphs], dtype="<u8")
+            want = []
+            for g in graphs:
+                nxg = nx.Graph()
+                nxg.add_nodes_from(range(g.n))
+                nxg.add_edges_from(edges(g))
+                want.append(nx.is_connected(nxg))
+            assert _connected(rows).tolist() == want, graphs[0].n
+
+    def test_odd_closed_walks_match_the_oracle(self, cache):
+        # Konig: a graph is bipartite iff no odd walk returns to its start
+        for graphs in walk_stacks(cache):
+            n = graphs[0].n
+            singles = np.uint64(1) << np.arange(n, dtype=np.uint64)
+            rows = np.array([g.adj for g in graphs], dtype="<u8")
+            _, odd = _walks(rows, np.broadcast_to(singles, rows.shape))
+            got = ((odd & singles) == 0).all(axis=1).tolist()
+            assert got == [is_bipartite(g) for g in graphs], n
+
+    def test_connected_conventions(self):
+        for n, want in ((0, True), (1, True), (2, False)):
+            assert _connected(np.zeros((1, n), dtype="<u8")).tolist() == [want]
+            assert _connected(np.zeros((1, n), dtype=np.uint16)).tolist() == [want]
 
 
 class TestCanonical:

@@ -9,6 +9,7 @@ from conftest import (
     cycle_graph,
     degrees,
     edge_count,
+    is_bipartite,
     is_triangle_free,
     path_graph,
     signless_laplacian_matrix,
@@ -22,7 +23,6 @@ from starfree.graphs import (
     complete_graph,
     empty_graph,
     from_edges,
-    is_bipartite,
     join,
     union,
 )
@@ -352,6 +352,12 @@ class TestPerron:
     def test_disconnected_rejected(self):
         with pytest.raises(Disconnected):
             perron_vector(union(complete_graph(2), complete_graph(2)))
+        # at order 64 the isolated vertex is bit 63 of the rows
+        for g in (union(star_graph(62), empty_graph(1)), union(empty_graph(1), star_graph(62))):
+            with pytest.raises(Disconnected):
+                perron_vector(g)
+        data = perron_vector(star_graph(63))
+        assert data.rho == pytest.approx(math.sqrt(63), abs=TOL)
 
     def test_matches_jacobi_eigenvector(self):
         # the LAPACK vector against the independent Jacobi oracle
@@ -420,7 +426,7 @@ class TestSolverHygiene:
                 assert abs(sum(vals)) <= 1e-8 * n
                 assert abs(sum(x * x for x in vals) - 2 * edge_count(g)) <= 1e-8 * n
                 assert spectral_radius(g) == pytest.approx(vals[0], abs=TOL)
-                if is_bipartite(g) is not None:
+                if is_bipartite(g):
                     for lo, hi in zip(reversed(vals), vals):
                         assert abs(lo + hi) <= TOL
                 if is_triangle_free(g):

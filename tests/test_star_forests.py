@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import cycle_graph, edge_count, path_graph, star_forests_up_to, star_graph
+from starfree.enumeration import GraphClass, enumerate_graphs
 from starfree.errors import ParamOutOfRange, ParseError
 from starfree.graphs import (
     complete_graph,
@@ -51,6 +52,21 @@ class TestStarForestType:
         f = StarForest((3, 1, 1))
         assert parse_star_forest(f.text()) == f
         assert parse_star_forest(f"{f.k}:{f.text()}") == f
+
+    def test_order_computed_once(self, cache, monkeypatch):
+        # containment reads the forest's order once per graph; a scan of the
+        # 1 044 graphs of all 7 must not recompute it per graph
+        reads = []
+        total = StarForest.leaf_total.fget
+
+        def counted(forest):
+            reads.append(forest)
+            return total(forest)
+
+        monkeypatch.setattr(StarForest, "leaf_total", property(counted))
+        forest = StarForest((2, 2))
+        assert sum(avoids_star_forest(g, forest) for g in enumerate_graphs(7, GraphClass.ALL, cache)) > 0
+        assert len(reads) <= 1
 
 
 class TestContainment:
