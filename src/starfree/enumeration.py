@@ -22,17 +22,19 @@ graph6 is written only for the codes that are output.
 
 A level is extended a block of ``_BLOCK`` parents at a time, and a block
 is the only batching unit: each takes one straight pass, and yields one
-block of children, which bounds the working memory.  The parents'
-automorphism generators are made for that block only
-(``graphs._automorphism_generators``): canonical augmentation needs a
-parent's group only while that parent is extended, so no child's is ever
-made or kept.  The block's attachment masks are pre-tested as one
-(parents, masks) table (the degree test, and for the bipartite tree the
-odd-walk test, from one ``graphs._walks`` pass on the block's rows; both
-keep whole orbits), then reduced to one representative per orbit of each
-parent's group by one min-label propagation over the kept (parent, mask)
-pairs (``_mask_orbit_reps``).  By
-McKay's theorem (B. D. McKay, "Isomorph-free exhaustive generation", J.
+block of children, which bounds the working memory.  The block's
+attachment masks are pre-tested as one (parents, masks) table (the degree
+test, and for the bipartite tree the odd-walk test, from one
+``graphs._walks`` pass on the block's rows; both keep whole orbits), then
+reduced to one representative per orbit of each parent's group
+(``_mask_orbit_reps``).  That group is read off the labelling leaves of
+the block's canonical parent rows (``graphs._min_code_leaves``, run once
+per block), which are automorphisms, one per coset of the twin group: a
+kept mask is its orbit's representative iff no leaf's image of it, moved
+to the lowest vertices of each twin class, is smaller.  Canonical
+augmentation needs a parent's group only while that parent is extended,
+so no child's is ever made or kept, and no generators are made at all.
+By McKay's theorem (B. D. McKay, "Isomorph-free exhaustive generation", J.
 Algorithms 26 (1998), section 4) the accepted children of one parent are
 then pairwise non-isomorphic, and each class is accepted from one parent
 class only, so every accepted child is kept.
@@ -65,10 +67,10 @@ import numpy as np
 from .errors import OrderTooLarge, ParamOutOfRange
 from .graphs import (
     Graph,
-    _automorphism_generators,
     _canonical_forms,
     _connected,
     _graph6_order,
+    _min_code_leaves,
     _refine,
     _walks,
     adjacency_bits,
@@ -82,14 +84,14 @@ ALL_CEILING = 9
 BIPARTITE_CEILING = 12
 
 # _extend takes a block of at most this many parents at a time: their
-# generators, their orbit step, and the refinement and labelling of all their
-# children, so the block bounds its working memory.  Process time and peak
-# RSS of a fresh build, 3 runs each on a 2-vCPU VM:
-#   block  all 9               bipartite 11        bipartite 12
-#   32     4.0-6.3 s, 56.0 MB  1.6-2.4 s, 37.9 MB  11.7-17.1 s, 59.9 MB
-#   64     4.4-5.8 s, 55.9 MB  1.4-2.1 s, 38.9 MB  11.2-14.6 s, 64.9 MB
-#   128    4.6-5.2 s, 60.7 MB  1.5-1.7 s, 41.2 MB  11.1-11.7 s, 59.2 MB
-# and all 8 peaks at 35.4 / 36.4 / 37.9 MB.
+# labelling leaves, their orbit step, and the refinement and labelling of
+# all their children, so the block bounds its working memory.  Process time
+# and peak RSS of a fresh build, 3 runs each on a 2-vCPU VM:
+#   block  all 9               bipartite 11         bipartite 12
+#   32     4.0-5.1 s, 51.7 MB  1.0-1.6 s, 34.5 MB   8.6-10.3 s, 56.4 MB
+#   64     3.1-3.5 s, 51.0 MB  0.8-0.9 s, 34.8 MB   6.5-8.7 s, 54.6 MB
+#   128    2.8-3.3 s, 54.4 MB  0.7-1.1 s, 36.3 MB   6.0-7.8 s, 54.7 MB
+# and all 8 peaks at 31.5 / 32.5 / 34.3 MB.
 _BLOCK = 64
 
 
@@ -121,40 +123,51 @@ def parse_graph_class(text: str) -> GraphClass:
         ) from None
 
 
-def _mask_orbit_reps(keep: np.ndarray, bits: np.ndarray,
-                     generators: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _mask_orbit_reps(block: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One mask per orbit of each parent's automorphism group.
 
-    ``keep`` is a (P, 2^m) table of the masks kept for each of P parents, a
-    union of orbits of that parent's group.  Returns the (parent, mask)
-    pairs whose mask is its orbit's smallest, in parent then mask order.
+    ``block`` holds P canonical parents, and ``keep`` is a (P, 2^m) table of
+    the masks kept for each, a union of orbits of that parent's group.
+    Returns the (parent, mask) pairs whose mask is its orbit's smallest, in
+    parent then mask order.
 
-    The parents' generators are padded by the identity into one (P, k, m)
-    table, so column j of it maps every kept pair at once: ``bits[mask] <<
-    sigma`` sums to the mask's image, and a dense (P, 2^m) table of pair
-    indices, the running count of ``keep``, finds the image's pair; the
-    image is kept, since its orbit is.  Each pair holds a label in its orbit,
-    at most itself, and takes the least label among its images (then its
-    label's label) until nothing moves.  No label then exceeds the labels of
-    its images, so labels are constant along every generator's cycles, hence
-    on each orbit: the orbit's smallest mask.
+    A canonical graph's labelling leaves (``graphs._min_code_leaves``) are
+    automorphisms, one per coset of its twin group T.  T is normal, since
+    automorphisms map twin classes onto twin classes, so the orbit of a mask
+    X is the union over the leaves sigma of T sigma(X).  The smallest mask
+    of T Y keeps, in each twin class C, the lowest |Y & C| vertices of C:
+    vertex v is kept iff Y holds more of v's class than v has lower twins.
+    A pair is its orbit's representative iff its mask is the least of these
+    over its parent's leaves.  Each (pair, leaf) row is built one vertex
+    column at a time on uint16 masks.
     """
+    m = block.shape[1]
+    a = adjacency_bits(block)
+    leaves, owner, twin = _min_code_leaves(block, a, _refine(a))
+    bit = np.uint16(1) << np.arange(m, dtype=np.uint16)
+    popcount = (np.arange(1 << m)[:, None] >> np.arange(m) & 1).sum(axis=1).astype(np.uint8)
+    # by leaf: each vertex's image, and in the leaf's parent each vertex's
+    # twin class and its number of lower twins
+    image_bit = bit[leaves]
+    twins = (twin @ bit)[owner]
+    lower = np.tril(twin, -1).sum(axis=2).astype(np.uint8)[owner]
     parent, mask = np.nonzero(keep)
-    counts = np.fromiter(map(len, generators), int, len(generators))
-    sigma = np.tile(np.arange(bits.shape[1], dtype=np.int8), (len(counts), counts.max(initial=1), 1))
-    sigma[np.arange(sigma.shape[1]) < counts[:, None]] = np.concatenate(generators)
-    index = keep.cumsum().reshape(keep.shape) - 1
-    rows = bits[mask]
-    images = np.stack([index[parent, (rows << sigma[parent, j]).sum(axis=1)]
-                       for j in range(sigma.shape[1])], axis=1)
-    label = np.arange(len(mask))
-    while True:
-        low = np.minimum(label, label[images].min(axis=1))
-        low = low[low]
-        if np.array_equal(low, label):
-            reps = label == np.arange(len(mask))
-            return parent[reps], mask[reps]
-        label = low
+    mask = mask.astype(np.uint16)
+    # the rows of a pair are its parent's leaves, which start at leaf
+    # start[parent]; the pair's rows start at row first
+    start = np.flatnonzero(np.diff(owner, prepend=-1))
+    size = np.diff(start, append=len(owner))[parent]
+    first = np.cumsum(size) - size
+    leaf = np.arange(size.sum()) + np.repeat(start[parent] - first, size)
+    row_mask = np.repeat(mask, size)
+    image = np.zeros_like(row_mask)
+    for v in range(m):
+        image |= (row_mask >> v & 1) * image_bit[leaf, v]
+    least = np.zeros_like(image)
+    for v in range(m):
+        least |= (popcount[image & twins[leaf, v]] > lower[leaf, v]) * bit[v]
+    reps = np.minimum.reduceat(least, first) == mask
+    return parent[reps], mask[reps]
 
 
 def _children(parents: np.ndarray, bipartite_only: bool) -> Iterator[np.ndarray]:
@@ -184,7 +197,7 @@ def _children(parents: np.ndarray, bipartite_only: bool) -> Iterator[np.ndarray]
             for v in range(m):
                 joined = np.concatenate([joined, joined | odd[:, v, None]], axis=1)
             keep &= joined & masks == 0
-        parent, mask = _mask_orbit_reps(keep, bits, _automorphism_generators(block))
+        parent, mask = _mask_orbit_reps(block, keep)
         yield np.concatenate([block[parent] | bits[mask] << m, mask[:, None]], axis=1)
 
 

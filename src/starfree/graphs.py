@@ -19,15 +19,15 @@ each depth every prefix of minimal code that places each twin class
 (N(u) - v = N(v) - u) lowest vertex first.  Its leaves give each graph's
 canonical neighbour masks, its labelling and whether the vertex placed
 last is in the orbit of the highest vertex (``_canonical_forms``), as
-arrays.  Automorphism generators are made apart, only for the graphs that
-need them: the same pass on a stack of canonical graphs
-(``_automorphism_generators``), whose leaves are then automorphisms.  The
-enumerator asks for them for each parent it extends, never for a child.
-``canonical_form`` is both on a stack of one, and the only place that
-builds a ``CanonicalForm`` and its graph6 string; a stack is sorted by code
-without writing one (``_graph6_order``).  Walking the tree breadth first is
-the approach of Traces (B. D. McKay and A. Piperno, "Practical graph
-isomorphism, II", J. Symb. Comput. 60 (2014)).
+arrays.  On a canonical graph the same leaves are its automorphisms, one
+per coset of the twin group, so no generators are made: the enumerator
+reads the mask orbits of the parents it extends off the leaves of their
+canonical rows, and never asks for a child's group.
+``canonical_form`` is ``_canonical_forms`` on a stack of one, and the only
+place that builds a ``CanonicalForm`` and its graph6 string; a stack is
+sorted by code without writing one (``_graph6_order``).  Walking the tree
+breadth first is the approach of Traces (B. D. McKay and A. Piperno,
+"Practical graph isomorphism, II", J. Symb. Comput. 60 (2014)).
 
 Connectivity and bipartiteness have one path, ``_walks``: one batched
 pass on a stack of rows that finds, from each start mask, the vertices
@@ -85,21 +85,17 @@ class Graph:
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Canonical relabelling of a graph plus its automorphism generators.
+    """Canonical relabelling of a graph.
 
     ``code`` is the graph6 string of ``graph``, equal iff isomorphic.
     ``labelling`` maps each input vertex to its canonical position, so
-    ``relabel(g, labelling) == graph``.  ``generators`` are permutations
-    (tuples mapping vertex -> image) of the canonical graph that generate its
-    whole automorphism group: the twin swaps, then one minimal-code ordering
-    per coset the swaps leave ungenerated.  The enumerator takes the same
-    generators, as int8 arrays, from ``_automorphism_generators`` for each
-    parent it extends, to prune equivalent vertex augmentations.
+    ``relabel(g, labelling) == graph``.  The automorphisms of a canonical
+    graph are its labelling leaves (``_min_code_leaves``), one per coset of
+    its twin group, which the enumerator reads for each parent it extends.
     """
 
     graph: Graph
     code: str
-    generators: tuple[tuple[int, ...], ...]
     labelling: tuple[int, ...]
 
 
@@ -232,26 +228,6 @@ def _connected(rows: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _twin_swaps(twin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each (n, n) twin matrix of a stack (``_min_code_leaves``), the
-    transposition of every vertex with the next twin above it.
-
-    Twins are an equivalence: false twins share N(v), true twins N[v], and
-    no vertex has both kinds (with a true twin w and a false twin u of v,
-    w in N(v) = N(u) puts u in N[w] = N[v]).  So these swaps generate every
-    permutation within each twin class, and they are automorphisms.
-    Returns (swaps, owner): swaps[s] is an int8 permutation of graph
-    owner[s], and owner is non-decreasing.
-    """
-    n = twin.shape[1]
-    later = np.triu(twin, 1)
-    owner, i, j = np.nonzero(later & (later.cumsum(axis=2) == 1))
-    swaps = np.tile(np.arange(n, dtype=np.int8), (len(owner), 1))
-    swaps[np.arange(len(owner)), i] = j
-    swaps[np.arange(len(owner)), j] = i
-    return swaps, owner
-
-
 def adjacency_bits(rows) -> np.ndarray:
     """0/1 adjacency matrices, as uint8, of an (N, n) array of neighbour masks.
 
@@ -317,7 +293,15 @@ def _min_code_leaves(rows: np.ndarray, a: np.ndarray, colors: np.ndarray):
     extends a minimal shorter one, so the leaves are the orderings of
     minimal code that place each twin class lowest vertex first: swapping
     twins is an automorphism, so each coset of the twin group in the
-    automorphism group has exactly one leaf.
+    automorphism group has exactly one leaf.  Twins are an equivalence:
+    false twins share N(v), true twins N[v], and no vertex has both kinds
+    (with a true twin w and a false twin u of v, w in N(v) = N(u) puts u in
+    N[w] = N[v]).  So the twin group permutes each twin class freely.
+
+    On a canonical graph every minimal ordering gives the graph back, so
+    each leaf, read as the map v -> leaves[k, v], is an automorphism, and
+    the leaves are one automorphism per coset of the twin group; the
+    enumerator reads its parents' mask orbits off them.
 
     A graph's nodes stay contiguous and in increasing order of their vertex
     sequences, so its first leaf is the least of its minimal orderings,
@@ -350,39 +334,6 @@ def _min_code_leaves(rows: np.ndarray, a: np.ndarray, colors: np.ndarray):
     return leaves, owner, twin
 
 
-def _coset_generators(maps: list[list[int]], cosets: list[list[int]]) -> list[tuple[int, ...]]:
-    """Automorphisms among ``maps`` (the first is the identity) that, with
-    the twin swaps, generate the group that all of them generate.
-
-    ``cosets[k][v]`` names the twin class of v's image under ``maps[k]`` by
-    its lowest member.  An automorphism maps twin classes onto twin classes,
-    so this signature names the map's coset of the twin group, and the coset
-    of a product has the signature c[s[v]] (c of the first factor, s of the
-    second).  A map is kept when its coset is not yet in the group of the
-    kept ones, which is closed over signatures; the walk stops once that
-    group has as many cosets as there are maps.
-    """
-    group = {tuple(cosets[0])}
-    kept: list[tuple[int, ...]] = []
-    kept_cosets: list[tuple[int, ...]] = []
-    for sigma, coset in zip(maps[1:], map(tuple, cosets[1:])):
-        if len(group) == len(maps):
-            break
-        if coset in group:
-            continue
-        kept.append(tuple(sigma))
-        kept_cosets.append(coset)
-        frontier = list(group)
-        while frontier:
-            s = frontier.pop()
-            for c in kept_cosets:
-                t = tuple(map(c.__getitem__, s))
-                if t not in group:
-                    group.add(t)
-                    frontier.append(t)
-    return kept
-
-
 def _canonical_forms(rows: np.ndarray, a: np.ndarray, colors: np.ndarray):
     """The canonical forms of N same-order graphs (arguments as in
     ``_min_code_leaves``), as arrays, and whether each graph's vertex n - 1
@@ -406,47 +357,11 @@ def _canonical_forms(rows: np.ndarray, a: np.ndarray, colors: np.ndarray):
     return canon, placed_last, np.argsort(first, axis=1)
 
 
-def _automorphism_generators(canon: np.ndarray) -> list[np.ndarray]:
-    """Generators of the automorphism group of each canonical graph of an
-    (N, n) stack of neighbour masks, as one (k, n) int8 array per graph.
-
-    The identity ordering of a canonical graph has minimal code and places
-    each twin class lowest vertex first, so it is the graph's first leaf,
-    and every other leaf (``_min_code_leaves``) is itself an automorphism.
-    A graph's generators are its twin swaps (``_twin_swaps``), then the
-    leaves that ``_coset_generators`` keeps.  Every coset of the twin group
-    has a leaf, so they generate the whole group, and a graph with one leaf
-    has no coset to add.
-    """
-    count, n = canon.shape
-    a = adjacency_bits(canon)
-    leaves, owner, twin = _min_code_leaves(canon, a, _refine(a))
-    swaps, swap_owner = _twin_swaps(twin)
-    gens = np.split(swaps, np.searchsorted(swap_owner, np.arange(1, count)))
-    starts = np.flatnonzero(np.diff(owner, prepend=-1))
-    sizes = np.diff(starts, append=len(owner))
-    tied = np.flatnonzero(sizes > 1)
-    if len(tied):
-        on_tied = np.repeat(sizes > 1, sizes)
-        # the lowest twin of each vertex: the count of non-twins below its
-        # first twin
-        classes = (twin[tied].cumsum(axis=2) == 0).sum(axis=2)
-        maps = leaves[on_tied]
-        cosets = np.take_along_axis(np.repeat(classes, sizes[tied], axis=0), maps, axis=1).tolist()
-        maps = maps.tolist()
-        end = 0
-        for graph, size in zip(tied.tolist(), sizes[tied].tolist()):
-            start, end = end, end + size
-            found = _coset_generators(maps[start:end], cosets[start:end])
-            gens[graph] = np.concatenate([gens[graph], np.array(found, dtype=np.int8).reshape(-1, n)])
-    return gens
-
-
 def canonical_form(g: Graph) -> CanonicalForm:
-    """Canonical relabelling, code, and automorphism generators.
+    """Canonical relabelling and code.
 
-    This is ``_canonical_forms`` and ``_automorphism_generators`` on a stack
-    of one, and the only place that builds a ``CanonicalForm``.
+    This is ``_canonical_forms`` on a stack of one, and the only place that
+    builds a ``CanonicalForm``.
     """
     if g.n > CANONICAL_CEILING:
         raise OrderTooLarge(
@@ -456,8 +371,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
     a = adjacency_bits(rows)
     canon, _, labellings = _canonical_forms(rows, a, _refine(a))
     h = Graph(g.n, tuple(canon[0].tolist()))
-    gens = _automorphism_generators(canon)[0]
-    return CanonicalForm(h, graph6_encode(h), tuple(map(tuple, gens.tolist())), tuple(labellings[0].tolist()))
+    return CanonicalForm(h, graph6_encode(h), tuple(labellings[0].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Shared fixtures and small graph builders for the test suite."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -266,7 +267,55 @@ def reference_orbit_ids(n: int, generators) -> list[int]:
     return orbit
 
 
-def reference_min_code_search(n: int, adj: tuple[int, ...], colors: list[int], twin_swaps):
+def twin_classes(g: Graph) -> list[list[int]]:
+    """The twin classes of g, u and v being twins iff N(u) - v = N(v) - u,
+    read off ``g.adj`` with no package code; each class lowest vertex
+    first, classes in order of their lowest vertex.  Twinship is an
+    equivalence, so each vertex is compared with the first of each class."""
+    classes: list[list[int]] = []
+    for v in range(g.n):
+        for cls in classes:
+            u = cls[0]
+            if g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
+def twin_swaps(g: Graph) -> list[tuple[int, ...]]:
+    """The transposition of each vertex with the next vertex of its twin
+    class; they generate the twin group, every permutation within each
+    class."""
+    swaps = []
+    for cls in twin_classes(g):
+        for u, v in zip(cls, cls[1:]):
+            sigma = list(range(g.n))
+            sigma[u], sigma[v] = v, u
+            swaps.append(tuple(sigma))
+    return swaps
+
+
+def twin_group_order(g: Graph) -> int:
+    return math.prod(math.factorial(len(cls)) for cls in twin_classes(g))
+
+
+def class_action(sigma, classes) -> tuple[int, ...]:
+    """How an automorphism permutes the twin classes, by their indices in
+    ``classes``: it maps classes onto classes, and two automorphisms act
+    alike iff they lie in one coset of the twin group."""
+    index = {v: k for k, cls in enumerate(classes) for v in cls}
+    return tuple(index[sigma[cls[0]]] for cls in classes)
+
+
+def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Generators of g's automorphism group, with no package code: the twin
+    swaps and the automorphisms that the depth-first search finds."""
+    return reference_min_code_search(g.n, g.adj, reference_colors(g.n, g.adj), twin_swaps(g))[1]
+
+
+def reference_min_code_search(n: int, adj: tuple[int, ...], colors: list[int], swaps):
     """The depth-first canonical search, the oracle for the breadth-first
     pass ``graphs._canonical_forms``.
 
@@ -279,7 +328,8 @@ def reference_min_code_search(n: int, adj: tuple[int, ...], colors: list[int], t
     j to positions 0..j-1, most significant bit = position 0), so comparing
     int lists compares bit strings.  Pruning: (a) branch-and-bound against
     the best code found so far, (b) one candidate per orbit of the known
-    automorphisms — the twin swaps it is given (``_twin_swaps``) plus
+    automorphisms — the twin swaps it is given (``swaps``, as from
+    ``twin_swaps``) plus
     whatever it discovers when two orderings produce the same code.  Neither
     prune can skip a minimal-code ordering that no known automorphism
     reaches from an explored one, so the generators returned generate the
@@ -297,7 +347,7 @@ def reference_min_code_search(n: int, adj: tuple[int, ...], colors: list[int], t
     cols: list[int] = [0] * n
     best_cols: list[int] | None = None
     best_perm: list[int] | None = None
-    gens: list[tuple[int, ...]] = list(twin_swaps)
+    gens: list[tuple[int, ...]] = list(swaps)
 
     def dfs(depth: int, keys: dict[int, int]) -> None:
         nonlocal best_cols, best_perm

@@ -8,7 +8,9 @@ import starfree.enumeration as enumeration_module
 import starfree.graphs as graphs_module
 from conftest import (
     Unbuildable,
+    automorphism_generators,
     canonical_rows,
+    class_action,
     count_calls,
     group_closure,
     is_bipartite,
@@ -19,6 +21,8 @@ from conftest import (
     reference_min_code_search,
     reference_orbit_ids,
     reference_orbit_reps,
+    twin_classes,
+    twin_swaps,
 )
 from starfree.enumeration import (
     ALL_CEILING,
@@ -34,11 +38,9 @@ from starfree.enumeration import (
 from starfree.errors import OrderTooLarge, ParamOutOfRange
 from starfree.graphs import (
     Graph,
-    _automorphism_generators,
     _canonical_forms,
     _min_code_leaves,
     _refine,
-    _twin_swaps,
     adjacency_bits,
     canonical_form,
     relabel,
@@ -68,8 +70,8 @@ def census_counts(n: int) -> dict:
 OEIS = {
     GraphClass.ALL: (1, 2, 4, 11, 34, 156, 1044, 12346, 274668),
     GraphClass.CONNECTED: (1, 1, 2, 6, 21, 112, 853, 11117, 261080),
-    GraphClass.BIPARTITE: (1, 2, 3, 7, 13, 35, 88, 303, 1119, 5479, 32303),
-    GraphClass.CONNECTED_BIPARTITE: (1, 1, 1, 3, 5, 17, 44, 182, 730, 4032, 25598),
+    GraphClass.BIPARTITE: (1, 2, 3, 7, 13, 35, 88, 303, 1119, 5479, 32303, 251135),
+    GraphClass.CONNECTED_BIPARTITE: (1, 1, 1, 3, 5, 17, 44, 182, 730, 4032, 25598, 212780),
 }
 
 
@@ -106,6 +108,7 @@ LEVEL_DIGESTS = {
 BIG_LEVEL_DIGESTS = {
     ("all", 9): "84c0f2b683ec39628c405a8c2a125d40dceb0097d2e6c3c61d3cfc041e94d11b",
     ("bipartite", 11): "72272f1b60629ab94152be42f9e8d740d99e94270577de74640fc70365d913d2",
+    ("bipartite", 12): "d7ce943f7a691d5766355c1455289464abf6bac64d8ebcdb2c5ec65bc7c09060",
 }
 
 
@@ -134,7 +137,8 @@ class TestCounts:
     @pytest.mark.slow
     def test_oeis_counts_past_tier_one(self, cache):
         for cls, n in ((GraphClass.ALL, 9), (GraphClass.CONNECTED, 9),
-                       (GraphClass.BIPARTITE, 11), (GraphClass.CONNECTED_BIPARTITE, 11)):
+                       (GraphClass.BIPARTITE, 11), (GraphClass.CONNECTED_BIPARTITE, 11),
+                       (GraphClass.BIPARTITE, 12), (GraphClass.CONNECTED_BIPARTITE, 12)):
             assert count(n, cls, cache) == OEIS[cls][n - 1], (cls, n)
 
     def test_stream_codes_unique_and_canonical(self, cache):
@@ -181,11 +185,6 @@ class TestCounts:
 ORACLE_PARENTS = (("all", 6), ("bipartite", 8))
 
 
-def mask_bits(m: int):
-    masks = np.arange(1 << m)
-    return masks, masks[:, None] >> np.arange(m) & 1
-
-
 def level_graphs(level: np.ndarray) -> list[Graph]:
     return [Graph(level.shape[1], tuple(row)) for row in level.tolist()]
 
@@ -223,22 +222,23 @@ class TestFastPaths:
 
     def test_mask_orbit_reps_match_closure(self, cache):
         # the orbit step on blocks of 1, 7 and all parents keeps, for each
-        # parent, the masks that closing its orbits one image at a time keeps
+        # parent, the masks that closing its orbits one image at a time
+        # keeps, under the group that the depth-first search finds
         parents = 0
         for base, top in ORACLE_PARENTS:
             for m in range(1, top + 1):
-                _, bits = mask_bits(m)
                 level = cache.level(base, m)
-                pools = [pretested_masks(g, base == "bipartite") for g in level_graphs(level)]
-                wants = [reference_orbit_reps(m, generators.tolist(), pool)
-                         for generators, pool in zip(_automorphism_generators(level), pools)]
+                graphs = level_graphs(level)
+                pools = [pretested_masks(g, base == "bipartite") for g in graphs]
+                wants = [reference_orbit_reps(m, automorphism_generators(g), pool)
+                         for g, pool in zip(graphs, pools)]
                 for block in (1, 7, len(level)):
                     for start in range(0, len(level), block):
                         rows = level[start:start + block]
                         keep = np.zeros((len(rows), 1 << m), dtype=bool)
                         for i, pool in enumerate(pools[start:start + block]):
                             keep[i, pool] = True
-                        parent, mask = _mask_orbit_reps(keep, bits, _automorphism_generators(rows))
+                        parent, mask = _mask_orbit_reps(rows, keep)
                         assert np.all(np.diff(parent) >= 0), (base, m, block)
                         for i, want in enumerate(wants[start:start + block]):
                             assert mask[parent == i].tolist() == want, (base, m, block, start + i)
@@ -262,7 +262,7 @@ class TestFastPaths:
                 for bipartite_only in (False, True):
                     calls.clear()
                     list(_children(level, bipartite_only))
-                    tables.append(np.concatenate([keep for keep, _, _ in calls]))
+                    tables.append(np.concatenate([keep for _, keep in calls]))
                 degree, both = tables
                 assert np.array_equal(both, degree & want), (m, block)
             cut += int((degree & ~want).sum())
@@ -270,8 +270,12 @@ class TestFastPaths:
 
     def test_every_child_matches_the_search(self, cache):
         # every child that passes both pre-tests must get from the labelling
-        # pass the form, the group and the acceptance that the depth-first
-        # search and its orbit test give
+        # pass the form and the acceptance that the depth-first search and
+        # its orbit test give.  The leaves of its canonical form must be
+        # automorphisms, one per coset of the twin group, that with the twin
+        # group make the group the search finds: both groups hold the twin
+        # group, the kernel of the action on the twin classes, so they are
+        # equal iff they act alike on the classes
         several = one = 0
         for n, rows in pretested_children(cache):
             a = adjacency_bits(rows)
@@ -279,28 +283,28 @@ class TestFastPaths:
             top = colors[:, -1] == colors.max(axis=1)
             rows, a, colors = rows[top], a[top], colors[top]
             canon_rows, placed_last, labellings = _canonical_forms(rows, a, colors)
-            gens = _automorphism_generators(canon_rows)
-            leaves, owner, twin = _min_code_leaves(rows, a, colors)
-            leaf_counts = np.bincount(owner, minlength=len(rows)).tolist()
-            swaps, swap_owner = _twin_swaps(twin)
-            swaps = swaps.tolist()
-            for k, (row, cells, canon_row, got_labelling, accept, count, got) in enumerate(zip(
+            canon_a = adjacency_bits(canon_rows)
+            leaves, owner, _ = _min_code_leaves(canon_rows, canon_a, _refine(canon_a))
+            per_graph = np.split(leaves, np.flatnonzero(np.diff(owner)) + 1)
+            for row, cells, canon_row, got_labelling, accept, got in zip(
                 rows.tolist(), colors.tolist(), canon_rows.tolist(), labellings.tolist(),
-                placed_last.tolist(), leaf_counts, gens,
-            )):
-                several += count > 1
-                one += count == 1
+                placed_last.tolist(), per_graph,
+            ):
+                several += len(got) > 1
+                one += len(got) == 1
                 g = Graph(n, tuple(row))
-                seeds = [swaps[s] for s in np.flatnonzero(swap_owner == k)]
-                order, want_gens = reference_min_code_search(n, g.adj, cells, seeds)
+                order, want_gens = reference_min_code_search(n, g.adj, cells, twin_swaps(g))
                 labelling = tuple(order.index(v) for v in range(n))
                 canon = relabel(g, labelling)
                 want = [tuple(labelling[sigma[order[i]]] for i in range(n)) for sigma in want_gens]
                 assert (tuple(canon_row), tuple(got_labelling)) == (canon.adj, labelling)
                 got = list(map(tuple, got.tolist()))
-                # equal generator sets skip the closures, which are slow for
-                # the large twin groups
-                assert set(got) == set(want) or group_closure(n, got) == group_closure(n, want)
+                assert all(relabel(canon, sigma) == canon for sigma in got)
+                classes = twin_classes(canon)
+                actions = {class_action(sigma, classes) for sigma in got}
+                assert len(actions) == len(got)
+                want_actions = [class_action(sigma, classes) for sigma in want]
+                assert actions == group_closure(len(classes), want_actions)
                 orbit = reference_orbit_ids(n, want)
                 assert accept == (orbit[labelling[-1]] == orbit[n - 1])
         assert several > 100 and one > 100
@@ -330,13 +334,20 @@ class TestFastPaths:
                 assert got.dtype == want.dtype and np.array_equal(got, want), (block, base)
 
     def test_one_pass_per_parent_block(self, cache, monkeypatch):
-        # a block of parents is the one batching unit: building all 8 takes
-        # the generators, refines and labels once per block of all 7
-        names = ("_automorphism_generators", "_refine", "_canonical_forms")
-        calls = {name: count_calls(monkeypatch, name, enumeration_module) for name in names}
+        # a block of parents is the one batching unit: building all 8
+        # refines each block of all 7 and reads its leaves once, and refines
+        # and labels the children of each block once
+        modules = {"_min_code_leaves": (graphs_module, enumeration_module),
+                   "_refine": (enumeration_module,), "_canonical_forms": (enumeration_module,)}
+        calls = {name: count_calls(monkeypatch, name, *where) for name, where in modules.items()}
         _extend(cache.level("all", 7), False)
         blocks = -(-OEIS[GraphClass.ALL][6] // enumeration_module._BLOCK)
-        assert {name: len(made) for name, made in calls.items()} == dict.fromkeys(names, blocks)
+        orders = {name: sorted(args[-1].shape[1] for args in made) for name, made in calls.items()}
+        assert orders == {
+            "_min_code_leaves": [7] * blocks + [8] * blocks,
+            "_refine": [7] * blocks + [8] * blocks,
+            "_canonical_forms": [8] * blocks,
+        }
 
     def test_no_graph_per_bipartite_parent(self, cache, monkeypatch):
         # the bipartite pre-test is one walk pass per block of parents and
@@ -378,12 +389,34 @@ class TestFastPaths:
         assert peak < 1 << 20, peak
 
     def test_generators_only_for_parents(self, cache, monkeypatch):
-        # generators are made for the parents being extended, not for the
-        # children: building all 8 closes cosets for at most the 1 044
-        # graphs of all 7
-        calls = count_calls(monkeypatch, "_coset_generators", graphs_module)
-        _extend(cache.level("all", 7), False)
-        assert 0 < len(calls) <= OEIS[GraphClass.ALL][6]
+        # the group is read for the parents being extended, not for the
+        # children: building all 8 reads the leaves of each of the 1 044
+        # graphs of all 7 once, and of no child's canonical form; the only
+        # order-8 leaves are those of the children's labelling pass
+        leaves = count_calls(monkeypatch, "_min_code_leaves", graphs_module, enumeration_module)
+        forms = count_calls(monkeypatch, "_canonical_forms", enumeration_module)
+        parents = cache.level("all", 7)
+        _extend(parents, False)
+        read = [args[0] for args in leaves if args[0].shape[1] == 7]
+        assert np.array_equal(np.concatenate(read), parents)
+        assert len(leaves) - len(read) == len(forms)
+
+    def test_orbit_step_memory(self, cache):
+        # the orbit step builds its (pair, leaf) rows one vertex column at a
+        # time on uint16 masks.  Its worst block peaked at 1.56 MB (all 8)
+        # and 3.44 MB (bipartite 10) under tracemalloc with the generator
+        # table and label propagation that it replaced, and (pairs, leaves,
+        # m, m) int64 temporaries would take several times more
+        for base, top in (("all", 8), ("bipartite", 10)):
+            parents = cache.level(base, top)
+            tracemalloc.start()
+            try:
+                for _ in _children(parents, base == "bipartite"):
+                    pass
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5e6, (base, peak)
 
     def test_level_build_encodes_no_graph6(self, cache, monkeypatch):
         # graph6 is written only for codes that are output, so neither a

@@ -8,6 +8,7 @@ from conftest import (
     all_labeled_graphs,
     brute_min_cols,
     check_invariants,
+    class_action,
     cycle_graph,
     degrees,
     edge_count,
@@ -19,6 +20,9 @@ from conftest import (
     path_graph,
     reference_colors,
     star_graph,
+    twin_classes,
+    twin_group_order,
+    twin_swaps,
 )
 from starfree.enumeration import GraphClass, enumerate_graphs
 from starfree.errors import BadEdge, OrderTooLarge, ParseError
@@ -235,7 +239,7 @@ class TestCanonical:
             cf = canonical_form(g)
             assert canonical_form(cf.graph).code == cf.code  # representative is canonical
             assert cf.code == graph6_encode(cf.graph)
-            for sigma in cf.generators:
+            for sigma in leaves(cf.graph):
                 assert relabel(cf.graph, sigma) == cf.graph
 
     def test_brute_oracle_distinct_on_classes_n6(self):
@@ -262,27 +266,33 @@ class TestCanonical:
         assert canonical_form(h).code == canonical_form(g).code
 
 
-def orbits(n: int, group) -> set[frozenset[int]]:
-    return {frozenset(p[v] for p in group) for v in range(n)}
-
-
 class TestGeneratorCompleteness:
-    """Canonical augmentation is sound only if the generators reported by
-    canonical_form generate the whole automorphism group."""
+    """Canonical augmentation is sound only if the labelling leaves of a
+    canonical graph, with its twin group, make its whole automorphism
+    group."""
 
     def test_generators_generate_brute_force_automorphisms(self, cache):
+        # on the canonical graph every leaf is an automorphism and no two
+        # share a coset of the twin group, so |leaves| * |twin group| =
+        # |Aut| says that the leaves meet every coset; a relabelled graph
+        # keeps as many leaves, and each gives the canonical graph back
         rng = random.Random(5)
         for n in range(1, 7):
             for g in enumerate_graphs(n, GraphClass.ALL, cache):
-                auts = {p for p in itertools.permutations(range(n)) if relabel(g, p) == g}
-                perm = list(range(n))
-                rng.shuffle(perm)
-                for h in (g, relabel(g, tuple(perm))):
+                auts = automorphisms(g)
+                got = leaves(g)
+                classes = twin_classes(g)
+                assert set(got) <= auts
+                assert len({class_action(sigma, classes) for sigma in got}) == len(got)
+                assert len(got) * twin_group_order(g) == len(auts)
+                assert group_closure(n, got + twin_swaps(g)) == auts
+                for h in (g, shuffled(g, rng)):
                     cf = canonical_form(h)
                     assert relabel(h, cf.labelling) == cf.graph == g
-                    group = group_closure(n, cf.generators)
-                    assert orbits(n, group) == orbits(n, auts)
-                    assert group == auts
+                    orders = leaves(h)
+                    assert len(orders) == len(got)
+                    for order in orders:
+                        assert relabel(h, tuple(order.index(v) for v in range(n))) == g
 
     def test_last_canonical_vertex_passes_the_pre_tests(self, cache):
         # the enumerator rejects children whose new vertex lacks maximum
@@ -302,11 +312,12 @@ class TestGeneratorCompleteness:
             assert degrees(g)[last] == max_degree(g)
 
 
-def leaf_count(g) -> int:
-    """How many leaves the labelling pass keeps for g, as a stack of one."""
+def leaves(g) -> list[tuple[int, ...]]:
+    """The leaves the labelling pass keeps for g, as a stack of one:
+    leaf[p] is the vertex placed at position p."""
     rows = np.array([g.adj], dtype=np.int64)
     a = adjacency_bits(rows)
-    return len(_min_code_leaves(rows, a, _refine(a))[0])
+    return list(map(tuple, _min_code_leaves(rows, a, _refine(a))[0].tolist()))
 
 
 def automorphisms(g) -> set[tuple[int, ...]]:
@@ -339,14 +350,11 @@ def icosahedron():
     return from_edges(12, rings + poles + band)
 
 
-def moved(sigma) -> int:
-    return sum(v != w for v, w in enumerate(sigma))
-
-
 class TestGreedyPass:
     """Graphs whose automorphisms are all twin swaps keep one leaf in the
     labelling pass; graphs with other automorphisms keep one leaf per coset
-    of the twin swaps, and their generators still generate the group."""
+    of the twin group, and on the canonical graph the leaves with the twin
+    swaps still generate the group."""
 
     def test_twin_only_graphs_have_one_leaf(self):
         graphs = [complete_graph(n) for n in range(1, 7)] + [empty_graph(n) for n in range(1, 7)]
@@ -356,11 +364,14 @@ class TestGreedyPass:
         rng = random.Random(17)
         for g in graphs:
             for h in (g, shuffled(g, rng)):
-                assert leaf_count(h) == 1, h
+                assert len(leaves(h)) == 1, h
                 cf = canonical_form(h)
                 assert relabel(h, cf.labelling) == cf.graph
                 assert cf.code == canonical_form(g).code
-                assert group_closure(h.n, cf.generators) == automorphisms(cf.graph), h
+                auts = automorphisms(cf.graph)
+                assert group_closure(h.n, twin_swaps(cf.graph)) == auts, h
+                assert leaves(cf.graph) == [tuple(range(h.n))]
+                assert twin_group_order(cf.graph) == len(auts)
 
     def test_symmetric_graphs_have_several_leaves(self):
         graphs = [cycle_graph(n) for n in (4, 5, 6, 7)]
@@ -369,32 +380,38 @@ class TestGreedyPass:
         for g in graphs:
             cf = canonical_form(g)
             for h in (g, shuffled(g, rng)):
-                assert leaf_count(h) > 1, h
+                assert len(leaves(h)) > 1, h
                 assert canonical_form(h).code == cf.code
-            group = group_closure(g.n, cf.generators)
+            got = leaves(cf.graph)
+            assert all(relabel(cf.graph, sigma) == cf.graph for sigma in got)
+            group = group_closure(g.n, got + twin_swaps(cf.graph))
             if g.n <= 8:
                 assert group == automorphisms(cf.graph), g
             else:  # the Petersen graph's automorphism group is S_5
                 assert len(group) == 120
-                assert all(relabel(cf.graph, sigma) == cf.graph for sigma in cf.generators)
+                assert len(got) * twin_group_order(cf.graph) == 120
 
     def test_groups_at_the_ceiling(self):
         # order CANONICAL_CEILING: C12 and 2C6 hold 4 320 nodes at their
-        # widest depth, and 6K2 has 720 leaves, one per permutation of its edges
+        # widest depth.  The first three have trivial twin groups, so their
+        # leaves are their whole groups; 6K2 has 720 leaves, one per
+        # permutation of its edges, on top of the 2^6 swaps within them
         rng = random.Random(23)
         two_hexagons = union(cycle_graph(6), cycle_graph(6))
         matching = from_edges(12, [(2 * i, 2 * i + 1) for i in range(6)])
-        for g, order in ((two_hexagons, 288), (icosahedron(), 120), (cycle_graph(12), 24), (matching, None)):
+        for g, count, twins in ((two_hexagons, 288, 1), (icosahedron(), 120, 1),
+                                (cycle_graph(12), 24, 1), (matching, 720, 64)):
             assert g.n == CANONICAL_CEILING
             cf = canonical_form(g)
             for _ in range(3):
                 assert canonical_form(shuffled(g, rng)).code == cf.code
-            assert all(relabel(cf.graph, sigma) == cf.graph for sigma in cf.generators)
-            if order is not None:
-                assert len(group_closure(g.n, cf.generators)) == order, g
-        swaps = [sigma for sigma in canonical_form(matching).generators if moved(sigma) == 2]
-        assert len(swaps) <= 6
-        assert len(canonical_form(matching).generators) - len(swaps) <= 10
+            got = leaves(cf.graph)
+            assert len(got) == count and twin_group_order(cf.graph) == twins, g
+            assert all(relabel(cf.graph, sigma) == cf.graph for sigma in got)
+            classes = twin_classes(cf.graph)
+            assert len({class_action(sigma, classes) for sigma in got}) == count
+            if twins == 1:
+                assert len(group_closure(g.n, got)) == count, g
 
 
 def reference_graph6(g):
@@ -437,7 +454,8 @@ class TestRefinement:
     def test_order_zero(self):
         assert _refine(adjacency_bits([empty_graph(0).adj])).shape == (1, 0)
         cf = canonical_form(empty_graph(0))
-        assert (cf.code, cf.generators, cf.labelling) == ("?", (), ())
+        assert (cf.code, cf.labelling) == ("?", ())
+        assert leaves(empty_graph(0)) == [()]
 
 
 class TestGraph6:
