@@ -17,8 +17,10 @@ partition instead of refining again.
 A level is its canonical graphs and nothing else: one (N, n) uint16 array
 of canonical neighbour masks, sorted by graph6 code by lexsorting the
 columns of the graph6 bit string (``graphs._graph6_order``), so no code is
-stored.  ``enumerate_graphs`` builds each ``Graph`` as it yields it, and
-graph6 is written only for the codes that are output.
+stored.  A class is its rows: ``class_rows`` is the one map from a class
+to them, and the scans read them as they are.  ``enumerate_graphs`` builds
+each ``Graph`` as it yields it, and graph6 is written only for the codes
+that are output.
 
 A level is extended a block of ``_BLOCK`` parents at a time, and a block
 is the only batching unit: each takes one straight pass, and yields one
@@ -53,8 +55,8 @@ are generated by the same augmentation restricted to bipartite parents and
 to the masks with no two vertices joined by an odd walk of the parent: a
 new odd closed walk must pass through the new vertex, so it joins two of
 its neighbours by an odd walk.  Connectivity is not deletion-closed, so
-``enumerate_graphs`` cuts each block of 4096 level rows that it converts
-by one row mask, from one walk pass (``graphs._connected``).
+``class_rows`` cuts a connected class from its level by one row mask, from
+one walk pass over the level (``graphs._connected``).
 """
 
 from __future__ import annotations
@@ -229,32 +231,40 @@ class EnumerationCache:
         return levels[n - 1]
 
 
-def check_ceiling(n: int, graph_class: GraphClass) -> None:
-    """Raise OrderTooLarge if order n is past the class's enumeration ceiling."""
+def class_rows(
+    n: int, graph_class: GraphClass = GraphClass.ALL, cache: EnumerationCache | None = None
+) -> np.ndarray:
+    """The canonical neighbour masks of the class's order-n members, (N, n)
+    uint16 in graph6 order.
+
+    The one map from a class to its rows: n and the class's ceiling are
+    checked before any level is built, a connected class is cut from its
+    level by one walk pass, and without a cache the level is built afresh.
+    """
+    if n < 1:
+        raise ParamOutOfRange(f"enumeration needs n >= 1, got {n}")
     if n > graph_class.ceiling:
         raise OrderTooLarge(
             f"enumeration of class {graph_class.value!r} capped at order {graph_class.ceiling}, got {n}"
         )
+    if cache is None:
+        cache = EnumerationCache()
+    rows = cache.level("bipartite" if graph_class.bipartite_only else "all", n)
+    return rows[_connected(rows)] if graph_class.connected_only else rows
+
+
+def _row_lists(rows: np.ndarray) -> Iterator[list[int]]:
+    """The rows as lists of Python ints, converted 4096 at a time: converting
+    all of `all` 9 at once lifted the peak RSS of iterating it from 53 to
+    130 MB."""
+    for start in range(0, len(rows), 4096):
+        yield from rows[start:start + 4096].tolist()
 
 
 def enumerate_graphs(
     n: int, graph_class: GraphClass = GraphClass.ALL, cache: EnumerationCache | None = None
 ) -> Iterator[Graph]:
-    """Yield one canonical representative per isomorphism class of order n.
-
-    Output is sorted by canonical graph6 code, so runs are reproducible.
-    The level's rows become Python ints 4096 at a time: converting all of
-    `all` 9 at once lifted the peak RSS of iterating it from 53 to 130 MB.
-    """
-    if n < 1:
-        raise ParamOutOfRange(f"enumeration needs n >= 1, got {n}")
-    check_ceiling(n, graph_class)
-    if cache is None:
-        cache = EnumerationCache()
-    level = cache.level("bipartite" if graph_class.bipartite_only else "all", n)
-    for start in range(0, len(level), 4096):
-        rows = level[start:start + 4096]
-        if graph_class.connected_only:
-            rows = rows[_connected(rows)]
-        for row in rows.tolist():
-            yield Graph(n, tuple(row))
+    """Yield one canonical representative per isomorphism class of order n:
+    the class's rows (``class_rows``) as ``Graph`` objects, in graph6 order."""
+    for row in _row_lists(class_rows(n, graph_class, cache)):
+        yield Graph(n, tuple(row))

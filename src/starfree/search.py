@@ -7,9 +7,10 @@ deterministic key order) so runs diff cleanly.
 
 The three class scans, ``extremal_search``, ``conjecture_margin_table`` and
 ``verify_edge_bound``, share one pass over the class (``_free_rows``).  It
-tests each member for the forest and keeps the neighbour masks of the free
-ones as one (N, n) array, in graph6 order; it keeps no Python object per
-member.  Each scan then reduces that array as a whole: the radii and q
+takes the class's rows from ``enumeration.class_rows``, tests each row's
+neighbour masks for the forest, and keeps the free rows as one (N, n)
+array, in graph6 order; it makes no ``Graph`` and keeps no Python object
+per member.  Each scan then reduces that array as a whole: the radii and q
 come from one batched ``spectra.extreme_eigenvalues`` call, and edge counts
 from the rows.  The maximisers are the free graphs whose radius is within
 RHO_TIE_TOL of the maximum, the one tie rule.  A graph6 string is written
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enumeration import EnumerationCache, GraphClass, check_ceiling, enumerate_graphs
+from .enumeration import EnumerationCache, GraphClass, _row_lists, class_rows
 from .errors import DivisionByZeroK2, EmptyClass, NoRegularGraph, ParamOutOfRange, ParseError
 from .families import (
     make_clique_join_regular,
@@ -34,7 +35,7 @@ from .families import (
 )
 from .graphs import Graph, edges, from_edges, graph6_encode
 from .spectra import adjacency_spectra, extreme_eigenvalues, spectral_radius
-from .star_forests import StarForest, avoids_star_forest, coarse_edge_bound, parse_star_forest
+from .star_forests import StarForest, coarse_edge_bound, contains_star_forest, parse_star_forest
 
 RHO_TIE_TOL = 1e-9
 
@@ -139,18 +140,12 @@ def _free_rows(
     n: int, forest: StarForest, graph_class: GraphClass, cache: EnumerationCache | None
 ) -> tuple[int, np.ndarray]:
     """The class size, and the neighbour masks of its forest-free members as
-    one (N, n) uint16 array in graph6 order."""
-    members = 0
-
-    def free():
-        nonlocal members
-        for g in enumerate_graphs(n, graph_class, cache):
-            members += 1
-            if avoids_star_forest(g, forest):
-                yield from g.adj
-
-    rows = np.fromiter(free(), np.uint16).reshape(-1, n)
-    return members, rows
+    one (N, n) uint16 array in graph6 order.  Containment reads each row as
+    a list of Python ints."""
+    rows = class_rows(n, graph_class, cache)
+    free = np.fromiter((not contains_star_forest(row, forest) for row in _row_lists(rows)),
+                       bool, len(rows))
+    return len(rows), rows[free]
 
 
 def _graph6(row: list[int]) -> str:
@@ -248,26 +243,23 @@ def verify_join_regular_bound(max_n: int, max_k: int, max_d: int) -> SuiteResult
     return SuiteResult("lemma23", checked, tuple(failures))
 
 
-def verify_bipartite_spectra(max_n: int, cache: EnumerationCache | None = None) -> SuiteResult:
+def verify_bipartite_spectra(max_n: int, cache: EnumerationCache) -> SuiteResult:
     """Over every bipartite graph of order 1..max_n: the spectrum is symmetric
     about 0, and the radius is at most n/2 (both to 1e-9).  The radius check
     is the triangle-free bound; a bipartite graph has no odd cycle, so every
     graph here is triangle-free and none needs testing for it.
 
     Each level's spectra come from one batched ``adjacency_spectra`` call on
-    its rows.
-    max_n < 1 raises ParamOutOfRange: a suite that checks nothing proves
-    nothing.
+    its rows.  The levels come from ``class_rows``, first at order max_n, so
+    max_n < 1 (a suite that checks nothing proves nothing) and an order past
+    the ceiling raise before any level is built; building max_n builds
+    every lower level into ``cache``.
     """
-    if max_n < 1:
-        raise ParamOutOfRange(f"bipartite suite needs max_n >= 1, got {max_n}")
-    check_ceiling(max_n, GraphClass.BIPARTITE)
-    if cache is None:
-        cache = EnumerationCache()
+    class_rows(max_n, GraphClass.BIPARTITE, cache)
     failures = []
     checked = 0
     for n in range(1, max_n + 1):
-        level = cache.level("bipartite", n)
+        level = class_rows(n, GraphClass.BIPARTITE, cache)
         spectra = adjacency_spectra(level)
         asymmetric = np.max(np.abs(spectra + spectra[:, ::-1]), axis=1) > RHO_TIE_TOL
         above = spectra[:, 0] > n / 2 + RHO_TIE_TOL

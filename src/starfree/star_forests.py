@@ -2,20 +2,24 @@
 
 A star forest is a vertex-disjoint union of stars, recorded by the sorted
 list of leaf counts d1 >= ... >= dk >= 1.  Containment of a star forest as a
-subgraph is decided exactly.  Star i, in that order, is given a center from
-the vertices of degree >= dk, tried in order of falling degree; a center
-with fewer than di neighbours outside the centers already placed is
-skipped.  Stars of equal size are interchangeable, so within each run of
-equal sizes the centers are taken at increasing positions of that order:
-every set of centers with its assignment of sizes is then tried exactly
-once.  Once all k centers C are placed, Hall's condition settles whether
-every center c_i can have di private leaves outside C.  Copy each c_i di
-times; the stars exist iff the copies have a matching into the leaves that
-saturates them.  By Hall's theorem that holds iff every set T of copies
-sees at least |T| leaves.  Copies of one center share its neighbourhood, so
-a set T meeting the copies of the centers in S sees the same leaves as all
-copies of S, which is the largest such T.  The condition thus reduces to
-the subsets S of centers:
+subgraph is decided exactly, by one procedure on a graph's neighbour masks
+(``contains_star_forest``), so the class scans test level rows as they are
+and ``avoids_star_forest`` passes it ``g.adj``.  Star i, in that order, is
+given a center from the vertices of degree >= dk, tried in order of falling
+degree; a center with fewer than di neighbours outside the centers already
+placed is skipped.  Stars of equal size are interchangeable, so within each
+run of equal sizes the centers are taken at increasing positions of that
+order: every set of centers with its assignment of sizes is then tried
+exactly once.  Once all k centers C are placed, a later center may have
+taken an earlier one's neighbours, so a placement where some c_i has fewer
+than di neighbours outside C is rejected at once.  Otherwise Hall's
+condition settles whether every center c_i can have di private leaves
+outside C.  Copy each c_i di times; the stars exist iff the copies have a
+matching into the leaves that saturates them.  By Hall's theorem that holds
+iff every set T of copies sees at least |T| leaves.  Copies of one center
+share its neighbourhood, so a set T meeting the copies of the centers in S
+sees the same leaves as all copies of S, which is the largest such T.  The
+condition thus reduces to the subsets S of centers:
     |(union of N(c_i) over i in S) - C| >= sum of di over i in S,
 at most 2^k - 1 counts for k <= MAX_STARS stars.
 A brute-force oracle with the same semantics backs the fast path in tests.
@@ -38,6 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 from .errors import ParamOutOfRange, ParseError
 from .graphs import Graph, _bits
@@ -123,8 +128,10 @@ def _leaves_fit(rows: list[int], caps: tuple[int, ...]) -> bool:
     return True
 
 
-def contains_star_forest(g: Graph, forest: StarForest) -> bool:
-    """True iff g contains vertex-disjoint stars with the forest's leaf counts.
+def contains_star_forest(adj: Sequence[int], forest: StarForest) -> bool:
+    """True iff the graph with neighbour masks ``adj`` (vertex v's in
+    ``adj[v]``, so the order is ``len(adj)``) contains vertex-disjoint stars
+    with the forest's leaf counts.
 
     Centers cannot serve as leaves of other stars (the stars are vertex
     disjoint); an edge between two chosen centers is simply unused.  Vertices
@@ -133,14 +140,15 @@ def contains_star_forest(g: Graph, forest: StarForest) -> bool:
     then runs on the live vertices with the stars that are left; it raises
     ParamOutOfRange when more than MAX_STARS stars are left for it.
     """
-    if g.n < forest.order:
+    n = len(adj)
+    if n < forest.order:
         return False
-    live = (1 << g.n) - 1
+    live = (1 << n) - 1
     d = forest.degrees
     while d:
         need = sum(d) + len(d) - 1
-        hub = next((v for v in range(g.n)
-                    if live >> v & 1 and (g.adj[v] & live).bit_count() >= need), None)
+        hub = next((v for v in range(n)
+                    if live >> v & 1 and (adj[v] & live).bit_count() >= need), None)
         if hub is None:
             break
         live &= ~(1 << hub)
@@ -152,14 +160,19 @@ def contains_star_forest(g: Graph, forest: StarForest) -> bool:
         raise ParamOutOfRange(f"containment supports at most {MAX_STARS} stars left "
                               f"after the peel, got {k}")
     # peeled vertices keep their index but lose every edge
-    adj = [row & live if live >> v & 1 else 0 for v, row in enumerate(g.adj)]
-    pool = sorted((v for v in range(g.n) if adj[v].bit_count() >= d[-1]),
+    adj = [row & live if live >> v & 1 else 0 for v, row in enumerate(adj)]
+    pool = sorted((v for v in range(n) if adj[v].bit_count() >= d[-1]),
                   key=lambda v: -adj[v].bit_count())
 
     def place(i: int, first: int, centers: list[int], cmask: int) -> bool:
         """Give star i a center from pool[first:], then place the rest."""
         if i == k:
-            return _leaves_fit([adj[c] & ~cmask for c in centers], d)
+            # a later center may have taken an earlier one's leaves
+            rows = [adj[c] & ~cmask for c in centers]
+            for row, di in zip(rows, d):
+                if row.bit_count() < di:
+                    return False
+            return _leaves_fit(rows, d)
         for pos in range(first, len(pool)):
             c = pool[pos]
             if cmask >> c & 1 or (adj[c] & ~cmask).bit_count() < d[i]:
@@ -202,7 +215,7 @@ def contains_star_forest_oracle(g: Graph, forest: StarForest) -> bool:
 
 def avoids_star_forest(g: Graph, forest: StarForest) -> bool:
     """The freeness predicate: no subgraph of g is the given star forest."""
-    return not contains_star_forest(g, forest)
+    return not contains_star_forest(g.adj, forest)
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ def test_criterion_03_containment_oracle_equivalence(cache):
             for g in enumerate_graphs(n, GraphClass.ALL, cache):
                 for f in forests:
                     compared += 1
-                    if contains_star_forest(g, f) != contains_star_forest_oracle(g, f):
+                    if contains_star_forest(g.adj, f) != contains_star_forest_oracle(g, f):
                         disagreements += 1
         assert disagreements == 0
         assert compared > 10000

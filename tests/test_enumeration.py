@@ -436,6 +436,9 @@ class TestLimits:
     def test_n_zero_rejected(self):
         with pytest.raises(ParamOutOfRange):
             list(enumerate_graphs(0, GraphClass.ALL))
+        for cls in GraphClass:
+            with pytest.raises(ParamOutOfRange):
+                list(enumerate_graphs(0, cls, Unbuildable()))
 
     def test_ceilings(self):
         assert (ALL_CEILING, BIPARTITE_CEILING) == (9, 12)

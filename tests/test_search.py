@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import starfree.enumeration as enumeration_module
 from conftest import (
     Unbuildable,
     adjacency_matrix,
@@ -12,7 +13,7 @@ from conftest import (
     signless_laplacian_matrix,
 )
 from starfree import search
-from starfree.enumeration import GraphClass, enumerate_graphs
+from starfree.enumeration import GraphClass, class_rows, enumerate_graphs
 from starfree.errors import (
     EmptyClass,
     NegativeDiscriminant,
@@ -26,7 +27,7 @@ from starfree.families import (
     radius_bound_general,
     signless_radius_bound,
 )
-from starfree.graphs import canonical_form, graph6_decode, graph6_encode
+from starfree.graphs import Graph, canonical_form, graph6_decode, graph6_encode
 from starfree.search import (
     applicable_bound,
     conjecture_margin_table,
@@ -123,7 +124,40 @@ class TestScanOracle:
                                    (GraphClass.BIPARTITE, 10),
                                    (GraphClass.CONNECTED_BIPARTITE, 10)):
                 check_scans_against_loop(n, StarForest(degrees), graph_class, cache,
-                                         contains_star_forest)
+                                         lambda g, f: contains_star_forest(g.adj, f))
+
+
+class TestScansReadRows:
+    def test_graphs_only_for_output_rows(self, cache, monkeypatch):
+        # the scans read the class's rows; the only Graph objects they make
+        # are those of the graph6 strings that they output: the maximisers,
+        # the q rows and the edge-bound violations, here made many by a
+        # bound lowered to n - 2, below the edges of a tree
+        def refuse(*args):
+            raise AssertionError("a scan streamed its class as Graph objects")
+
+        monkeypatch.setattr(enumeration_module, "enumerate_graphs", refuse)
+        monkeypatch.setattr(search, "enumerate_graphs", refuse, raising=False)
+        monkeypatch.setattr(search, "coarse_edge_bound", lambda forest, n: n - 2)
+        built = []
+        init = Graph.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        for graph_class, n in ((GraphClass.ALL, 7), (GraphClass.CONNECTED_BIPARTITE, 9)):
+            class_rows(n, graph_class, cache)  # built before the count starts
+            for degrees in ((2, 2), (2, 1, 1)):
+                f = StarForest(degrees)
+                with monkeypatch.context() as patch:
+                    patch.setattr(Graph, "__init__", counted)
+                    rec = extremal_search(n, f, graph_class, cache)
+                    table = conjecture_margin_table(n, f, graph_class, cache)
+                    violations = verify_edge_bound(n, f, graph_class, cache)
+                assert violations and rec.count_free < rec.count_enumerated
+                assert len(built) == len(rec.argmax) + len(table.rows) + len(violations)
+                built.clear()
 
 
 class TestExtremalSearch:
@@ -265,11 +299,24 @@ class TestBipartiteSuite:
     def test_order_past_ceiling_rejected_before_enumerating(self):
         with pytest.raises(OrderTooLarge):
             verify_bipartite_spectra(GraphClass.BIPARTITE.ceiling + 1, Unbuildable())
+        # the class scans meet the same check, in enumeration.class_rows
+        for graph_class in GraphClass:
+            for scan in (extremal_search, conjecture_margin_table, verify_edge_bound):
+                with pytest.raises(OrderTooLarge, match="capped at order"):
+                    scan(graph_class.ceiling + 1, StarForest((2, 2)), graph_class, Unbuildable())
 
     def test_empty_suite_rejected(self):
         for max_n in (0, -3):
-            with pytest.raises(ParamOutOfRange):
+            with pytest.raises(ParamOutOfRange, match="enumeration needs n >= 1"):
                 verify_bipartite_spectra(max_n, Unbuildable())
+            # the radius search meets the same check; the q and edge bounds
+            # reject these orders themselves
+            for graph_class in GraphClass:
+                with pytest.raises(ParamOutOfRange, match="enumeration needs n >= 1"):
+                    extremal_search(max_n, StarForest((2, 2)), graph_class, Unbuildable())
+                for scan in (conjecture_margin_table, verify_edge_bound):
+                    with pytest.raises(ParamOutOfRange):
+                        scan(max_n, StarForest((2, 2)), graph_class, Unbuildable())
 
     # the order-3 bipartite level is B? (empty), BG (one edge), BW (path)
     def test_asymmetric_spectrum_fails(self, monkeypatch, cache):

@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from conftest import cycle_graph, edge_count, path_graph, star_forests_up_to, star_graph
+import starfree.star_forests as star_forests_module
+from conftest import (
+    count_calls,
+    cycle_graph,
+    edge_count,
+    path_graph,
+    star_forests_up_to,
+    star_graph,
+)
 from starfree.enumeration import GraphClass, enumerate_graphs
 from starfree.errors import ParamOutOfRange, ParseError
 from starfree.graphs import (
@@ -72,24 +80,24 @@ class TestStarForestType:
 class TestContainment:
     def test_paths(self):
         f = StarForest((2, 1))
-        assert not contains_star_forest(path_graph(4), f)
-        assert contains_star_forest(path_graph(5), f)
+        assert not contains_star_forest(path_graph(4).adj, f)
+        assert contains_star_forest(path_graph(5).adj, f)
 
     def test_cycle_two_stars(self):
-        assert contains_star_forest(cycle_graph(6), StarForest((2, 2)))
+        assert contains_star_forest(cycle_graph(6).adj, StarForest((2, 2)))
 
     def test_too_few_vertices(self):
         f = StarForest((2, 2))
         for g in (complete_graph(5), cycle_graph(5), empty_graph(5)):
-            assert not contains_star_forest(g, f)
+            assert not contains_star_forest(g.adj, f)
 
     def test_star_cannot_split(self):
-        assert not contains_star_forest(star_graph(5), StarForest((2, 2)))
+        assert not contains_star_forest(star_graph(5).adj, StarForest((2, 2)))
 
     def test_forest_contains_itself(self):
         f = StarForest((2, 2))
         g = union(star_graph(2), star_graph(2))
-        assert contains_star_forest(g, f)
+        assert contains_star_forest(g.adj, f)
         assert not avoids_star_forest(g, f)
 
     def test_edgeless_is_free(self):
@@ -102,15 +110,15 @@ class TestContainment:
 
     def test_single_star_is_degree_question(self):
         g = star_graph(4)
-        assert contains_star_forest(g, StarForest((4,)))
-        assert not contains_star_forest(g, StarForest((5,)))
+        assert contains_star_forest(g.adj, StarForest((4,)))
+        assert not contains_star_forest(g.adj, StarForest((5,)))
 
     def test_star_limit_binds_only_the_search(self):
         nine = StarForest((1,) * (MAX_STARS + 1))
         assert avoids_star_forest(empty_graph(5), nine)  # order test
-        assert contains_star_forest(complete_graph(20), nine)  # the peel places every star
+        assert contains_star_forest(complete_graph(20).adj, nine)  # the peel places every star
         with pytest.raises(ParamOutOfRange):
-            contains_star_forest(empty_graph(20), nine)
+            contains_star_forest(empty_graph(20).adj, nine)
 
     def test_matches_oracle_exhaustively_small(self):
         forests = [StarForest(t) for t in star_forests_up_to(5, 3)]
@@ -118,14 +126,14 @@ class TestContainment:
         for bits in range(1 << len(pairs)):
             g = from_edges(5, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
             for f in forests:
-                assert contains_star_forest(g, f) == contains_star_forest_oracle(g, f)
+                assert contains_star_forest(g.adj, f) == contains_star_forest_oracle(g, f)
 
     def test_matches_oracle_random(self):
         # any three of the four degree-3 vertices of K_{4,3} see three
         # leaves, all four see only three: every subset of centers counts
         g = union(join(empty_graph(4), empty_graph(3)), empty_graph(1))
         f = StarForest((1, 1, 1, 1))
-        assert not contains_star_forest(g, f) and not contains_star_forest_oracle(g, f)
+        assert not contains_star_forest(g.adj, f) and not contains_star_forest_oracle(g, f)
         # 0-2 planted vertices adjacent to all others, under a random
         # relabelling, so that the high-degree peel fires on many inputs
         rng = random.Random(17)
@@ -145,7 +153,7 @@ class TestContainment:
                 if f.order <= n:
                     compared += 1
                     peelable += top >= f.order - 1
-                    assert contains_star_forest(g, f) == contains_star_forest_oracle(g, f), (g, f)
+                    assert contains_star_forest(g.adj, f) == contains_star_forest_oracle(g, f), (g, f)
         assert peelable > compared // 4
 
     def test_matches_oracle_past_four_stars(self):
@@ -154,7 +162,7 @@ class TestContainment:
         # that carries a 1-star, so a smaller star may take an earlier center
         g = union(union(path_graph(3), complete_graph(4)), complete_graph(4))
         f = StarForest((2, 1, 1, 1, 1))
-        assert contains_star_forest(g, f) and contains_star_forest_oracle(g, f)
+        assert contains_star_forest(g.adj, f) and contains_star_forest_oracle(g, f)
         # runs of three and more equal stars, where only increasing positions
         # within the run keep one placement per set of centers
         forests = [StarForest(t) for t in [(1, 1, 1, 1, 1), (2, 1, 1, 1, 1), (2, 2, 2, 1, 1),
@@ -167,18 +175,31 @@ class TestContainment:
             n = rng.randint(max(10, f.order), max(13, f.order))
             p = rng.uniform(0.1, 0.4)
             g = from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
-            found = contains_star_forest(g, f)
+            found = contains_star_forest(g.adj, f)
             assert found == contains_star_forest_oracle(g, f), (g, f)
             outcomes[f].add(found)
         assert all(seen == {False, True} for seen in outcomes.values()), outcomes
+
+    def test_stripped_center_never_reaches_hall(self, monkeypatch):
+        # the path 2-0-1-3 plus vertex 4, against 2,1.  Vertices 0 and 1
+        # (degree 2) come first in the placement order.  The 2-star on 0
+        # and the 1-star on 1 leave 0 one leaf outside the centers, and so
+        # do the 2-star on 1 and the 1-star on 0: each later center strips
+        # the first, so Hall's table runs only for centers (0, 3) and (1, 2)
+        calls = count_calls(monkeypatch, "_leaves_fit", star_forests_module)
+        g = from_edges(5, [(0, 1), (0, 2), (1, 3)])
+        f = StarForest((2, 1))
+        assert not contains_star_forest(g.adj, f) and not contains_star_forest_oracle(g, f)
+        assert [rows for rows, _ in calls] == [[0b0110, 0b0010], [0b1001, 0b0001]]
 
     def test_star_limit_reaches_the_search(self):
         # no vertex has the 2m - 1 neighbours that the peel needs, so all m
         # stars reach the search; the matching number decides
         m = MAX_STARS
         forest = StarForest((1,) * m)
-        assert contains_star_forest(from_edges(2 * m, [(2 * i, 2 * i + 1) for i in range(m)]), forest)
-        assert contains_star_forest(cycle_graph(2 * m), forest)
+        matching = from_edges(2 * m, [(2 * i, 2 * i + 1) for i in range(m)])
+        assert contains_star_forest(matching.adj, forest)
+        assert contains_star_forest(cycle_graph(2 * m).adj, forest)
         assert avoids_star_forest(from_edges(2 * m, [(2 * i, 2 * i + 1) for i in range(m - 1)]), forest)
         assert avoids_star_forest(join(empty_graph(m - 1), empty_graph(m + 1)), forest)
 
@@ -193,8 +214,8 @@ class TestContainment:
             if not non_edges:
                 continue
             bigger = from_edges(n, es + [rng.choice(non_edges)])
-            if contains_star_forest(g, f):
-                assert contains_star_forest(bigger, f)
+            if contains_star_forest(g.adj, f):
+                assert contains_star_forest(bigger.adj, f)
 
     def test_join_regular_family_is_free(self):
         from starfree.families import make_clique_join_regular
