@@ -5,14 +5,17 @@ augmentation: a child is accepted iff its new vertex lies in the
 automorphism orbit of the vertex that the canonical labelling puts last.
 That orbit is a function of the isomorphism class alone, so every class is
 accepted from exactly one parent class, the class of the child minus that
-vertex.  Two cheap necessary conditions run first, because the last
-canonical position belongs to the highest colour cell of the equitable
-partition, and a higher colour id never means a lower degree: the new
-vertex must have maximum degree in the child (integer work on the parent's
-degrees, which one numpy step takes for a block of parents), and it
-must lie in the highest colour cell of the child's equitable partition.
-Only the children that pass both are labelled, starting from that
-partition instead of refining again.
+vertex, and two accepted children of one parent are isomorphic iff their
+masks lie in one orbit of the parent's group (B. D. McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26 (1998), section 4).  Two cheap
+necessary conditions run first, because the last canonical position
+belongs to the highest colour cell of the equitable partition, and a
+higher colour id never means a lower degree: the new vertex must have
+maximum degree in the child (integer work on the parent's degrees, which
+one numpy step takes for a block of parents), and it must lie in the
+highest colour cell of the child's equitable partition.  Only the children
+that pass both are labelled, starting from that partition instead of
+refining again.
 
 A level is its canonical graphs and nothing else: one (N, n) uint16 array
 of canonical neighbour masks, sorted by graph6 code by lexsorting the
@@ -28,18 +31,13 @@ block of children, which bounds the working memory.  The block's
 attachment masks are pre-tested as one (parents, masks) table (the degree
 test, and for the bipartite tree the odd-walk test, from one
 ``graphs._walks`` pass on the block's rows; both keep whole orbits), then
-reduced to one representative per orbit of each parent's group
-(``_mask_orbit_reps``).  That group is read off the labelling leaves of
-the block's canonical parent rows (``graphs._min_code_leaves``, run once
-per block), which are automorphisms, one per coset of the twin group: a
-kept mask is its orbit's representative iff no leaf's image of it, moved
-to the lowest vertices of each twin class, is smaller.  Canonical
-augmentation needs a parent's group only while that parent is extended,
-so no child's is ever made or kept, and no generators are made at all.
-By McKay's theorem (B. D. McKay, "Isomorph-free exhaustive generation", J.
-Algorithms 26 (1998), section 4) the accepted children of one parent are
-then pairwise non-isomorphic, and each class is accepted from one parent
-class only, so every accepted child is kept.
+cut to the twin-minimal masks: a mask that holds a vertex holds each of
+its lower twins (N(u) - v = N(v) - u, ``graphs._lower_twins``).  Swapping
+two twins is an automorphism, so the cut keeps a mask of every orbit, and
+no parent is refined or labelled.  It keeps some orbits more than once, so
+one parent can yield isomorphic accepted children.  Isomorphic graphs have
+the same canonical row, and the level is sorted, so ``_extend`` drops each
+row equal to the one before it, and keeps exactly one row per class.
 
 All the children of a block are then unpacked into adjacency matrices in
 one numpy step, refined in one batched call (``graphs._refine``, the only
@@ -72,7 +70,7 @@ from .graphs import (
     _canonical_forms,
     _connected,
     _graph6_order,
-    _min_code_leaves,
+    _lower_twins,
     _refine,
     _walks,
     adjacency_bits,
@@ -86,14 +84,14 @@ ALL_CEILING = 9
 BIPARTITE_CEILING = 12
 
 # _extend takes a block of at most this many parents at a time: their
-# labelling leaves, their orbit step, and the refinement and labelling of
-# all their children, so the block bounds its working memory.  Process time
-# and peak RSS of a fresh build, 3 runs each on a 2-vCPU VM:
+# pre-tests and twin cut, and the refinement and labelling of all their
+# children, so the block bounds its working memory.  Process time and peak
+# RSS of a fresh build, 3 runs each on a 2-vCPU VM:
 #   block  all 9               bipartite 11         bipartite 12
-#   32     4.0-5.1 s, 51.7 MB  1.0-1.6 s, 34.5 MB   8.6-10.3 s, 56.4 MB
-#   64     3.1-3.5 s, 51.0 MB  0.8-0.9 s, 34.8 MB   6.5-8.7 s, 54.6 MB
-#   128    2.8-3.3 s, 54.4 MB  0.7-1.1 s, 36.3 MB   6.0-7.8 s, 54.7 MB
-# and all 8 peaks at 31.5 / 32.5 / 34.3 MB.
+#   32     3.7-4.7 s, 54.9 MB  1.0-1.3 s, 33.9 MB   7.5-10.5 s, 58.1 MB
+#   64     3.7-4.8 s, 52.8 MB  0.9-1.2 s, 34.7 MB   8.3-9.5 s, 57.6 MB
+#   128    4.1-4.8 s, 55.9 MB  1.0-1.1 s, 37.5 MB   8.2-9.3 s, 63.7 MB
+# and all 8 peaks at 31.7 / 33.4 / 34.9 MB.
 _BLOCK = 64
 
 
@@ -125,57 +123,10 @@ def parse_graph_class(text: str) -> GraphClass:
         ) from None
 
 
-def _mask_orbit_reps(block: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One mask per orbit of each parent's automorphism group.
-
-    ``block`` holds P canonical parents, and ``keep`` is a (P, 2^m) table of
-    the masks kept for each, a union of orbits of that parent's group.
-    Returns the (parent, mask) pairs whose mask is its orbit's smallest, in
-    parent then mask order.
-
-    A canonical graph's labelling leaves (``graphs._min_code_leaves``) are
-    automorphisms, one per coset of its twin group T.  T is normal, since
-    automorphisms map twin classes onto twin classes, so the orbit of a mask
-    X is the union over the leaves sigma of T sigma(X).  The smallest mask
-    of T Y keeps, in each twin class C, the lowest |Y & C| vertices of C:
-    vertex v is kept iff Y holds more of v's class than v has lower twins.
-    A pair is its orbit's representative iff its mask is the least of these
-    over its parent's leaves.  Each (pair, leaf) row is built one vertex
-    column at a time on uint16 masks.
-    """
-    m = block.shape[1]
-    a = adjacency_bits(block)
-    leaves, owner, twin = _min_code_leaves(block, a, _refine(a))
-    bit = np.uint16(1) << np.arange(m, dtype=np.uint16)
-    popcount = (np.arange(1 << m)[:, None] >> np.arange(m) & 1).sum(axis=1).astype(np.uint8)
-    # by leaf: each vertex's image, and in the leaf's parent each vertex's
-    # twin class and its number of lower twins
-    image_bit = bit[leaves]
-    twins = (twin @ bit)[owner]
-    lower = np.tril(twin, -1).sum(axis=2).astype(np.uint8)[owner]
-    parent, mask = np.nonzero(keep)
-    mask = mask.astype(np.uint16)
-    # the rows of a pair are its parent's leaves, which start at leaf
-    # start[parent]; the pair's rows start at row first
-    start = np.flatnonzero(np.diff(owner, prepend=-1))
-    size = np.diff(start, append=len(owner))[parent]
-    first = np.cumsum(size) - size
-    leaf = np.arange(size.sum()) + np.repeat(start[parent] - first, size)
-    row_mask = np.repeat(mask, size)
-    image = np.zeros_like(row_mask)
-    for v in range(m):
-        image |= (row_mask >> v & 1) * image_bit[leaf, v]
-    least = np.zeros_like(image)
-    for v in range(m):
-        least |= (popcount[image & twins[leaf, v]] > lower[leaf, v]) * bit[v]
-    reps = np.minimum.reduceat(least, first) == mask
-    return parent[reps], mask[reps]
-
-
 def _children(parents: np.ndarray, bipartite_only: bool) -> Iterator[np.ndarray]:
-    """The pre-tested children, one per orbit of its parent's group on the
-    masks, as one block of neighbour-mask rows per block of _BLOCK parents
-    (parent order, then mask order)."""
+    """The pre-tested children whose masks are twin-minimal, as one block of
+    neighbour-mask rows per block of _BLOCK parents (parent order, then mask
+    order)."""
     m = parents.shape[1]
     masks = np.arange(1 << m, dtype=np.uint16)
     bits = masks[:, None] >> np.arange(m) & 1
@@ -199,8 +150,12 @@ def _children(parents: np.ndarray, bipartite_only: bool) -> Iterator[np.ndarray]
             for v in range(m):
                 joined = np.concatenate([joined, joined | odd[:, v, None]], axis=1)
             keep &= joined & masks == 0
-        parent, mask = _mask_orbit_reps(block, keep)
-        yield np.concatenate([block[parent] | bits[mask] << m, mask[:, None]], axis=1)
+        # the twin cut: a mask that holds v holds each lower twin of v
+        lower = _lower_twins(block)
+        for v in range(m):
+            keep &= (bits[:, v] == 0) | (lower[:, v, None] & ~masks == 0)
+        parent, mask = np.nonzero(keep)
+        yield np.concatenate([block[parent] | bits[mask] << m, masks[mask, None]], axis=1)
 
 
 def _extend(parents: np.ndarray, bipartite_only: bool) -> np.ndarray:
@@ -212,7 +167,10 @@ def _extend(parents: np.ndarray, bipartite_only: bool) -> np.ndarray:
         canon, accept, _ = _canonical_forms(block[top], a[top], colors[top])
         rows.append(canon[accept].astype(np.uint16))
     rows = np.concatenate(rows)
-    return rows[_graph6_order(rows)]
+    rows = rows[_graph6_order(rows)]
+    # isomorphic children, from twin-minimal masks in one orbit, are equal
+    # rows, and the sort puts them side by side
+    return rows[np.insert(np.any(rows[1:] != rows[:-1], axis=1), 0, True)]
 
 
 class EnumerationCache:

@@ -16,13 +16,12 @@ strings.
 Labelling has one path.  One breadth-first pass (``_min_code_leaves``)
 walks the labelling tree for a whole stack of same-order graphs, keeping at
 each depth every prefix of minimal code that places each twin class
-(N(u) - v = N(v) - u) lowest vertex first.  Its leaves give each graph's
-canonical neighbour masks, its labelling and whether the vertex placed
-last is in the orbit of the highest vertex (``_canonical_forms``), as
-arrays.  On a canonical graph the same leaves are its automorphisms, one
-per coset of the twin group, so no generators are made: the enumerator
-reads the mask orbits of the parents it extends off the leaves of their
-canonical rows, and never asks for a child's group.
+(N(u) - v = N(v) - u, ``_lower_twins``) lowest vertex first.  Its leaves
+give each graph's canonical neighbour masks, its labelling and whether the
+vertex placed last is in the orbit of the highest vertex
+(``_canonical_forms``), as arrays, so no automorphism group is ever made.
+The enumerator reads only the twins of the parents it extends, with the
+same ``_lower_twins``, and labels only their children.
 ``canonical_form`` is ``_canonical_forms`` on a stack of one, and the only
 place that builds a ``CanonicalForm`` and its graph6 string; a stack is
 sorted by code without writing one (``_graph6_order``).  Walking the tree
@@ -89,9 +88,7 @@ class CanonicalForm:
 
     ``code`` is the graph6 string of ``graph``, equal iff isomorphic.
     ``labelling`` maps each input vertex to its canonical position, so
-    ``relabel(g, labelling) == graph``.  The automorphisms of a canonical
-    graph are its labelling leaves (``_min_code_leaves``), one per coset of
-    its twin group, which the enumerator reads for each parent it extends.
+    ``relabel(g, labelling) == graph``.
     """
 
     graph: Graph
@@ -277,6 +274,15 @@ def _refine(a: np.ndarray) -> np.ndarray:
         colors = refined
 
 
+def _lower_twins(rows: np.ndarray) -> np.ndarray:
+    """Each vertex's lower twins, for an (N, n) stack of neighbour masks:
+    an (N, n) array of masks of the rows' dtype, bit u of [i, v] set iff
+    u < v and N(u) - v = N(v) - u in graph i."""
+    bit = rows.dtype.type(1) << np.arange(rows.shape[1], dtype=rows.dtype)
+    twin = (rows[:, :, None] & ~bit) == (rows[:, None, :] & ~bit[:, None])
+    return np.tril(twin, -1) @ bit
+
+
 def _min_code_leaves(rows: np.ndarray, a: np.ndarray, colors: np.ndarray):
     """Every twin-canonical ordering of minimal code, for N same-order graphs
     at once, by one breadth-first walk of the labelling tree.
@@ -289,32 +295,30 @@ def _min_code_leaves(rows: np.ndarray, a: np.ndarray, colors: np.ndarray):
     vertex placed at position p is column p of the code.  At each depth a
     node takes every vertex of the position's cell whose key is the least
     of its graph's nodes at that depth, and which is the lowest unplaced
-    vertex of its twin class (N(u) - v = N(v) - u).  A minimal prefix
-    extends a minimal shorter one, so the leaves are the orderings of
-    minimal code that place each twin class lowest vertex first: swapping
-    twins is an automorphism, so each coset of the twin group in the
-    automorphism group has exactly one leaf.  Twins are an equivalence:
-    false twins share N(v), true twins N[v], and no vertex has both kinds
-    (with a true twin w and a false twin u of v, w in N(v) = N(u) puts u in
-    N[w] = N[v]).  So the twin group permutes each twin class freely.
+    vertex of its twin class (N(u) - v = N(v) - u, ``_lower_twins``).  A
+    minimal prefix extends a minimal shorter one, so the leaves are the
+    orderings of minimal code that place each twin class lowest vertex
+    first: swapping twins is an automorphism, so each coset of the twin
+    group in the automorphism group has exactly one leaf.  Twins are an
+    equivalence: false twins share N(v), true twins N[v], and no vertex has
+    both kinds (with a true twin w and a false twin u of v, w in N(v) = N(u)
+    puts u in N[w] = N[v]).  So the twin group permutes each twin class
+    freely.
 
     On a canonical graph every minimal ordering gives the graph back, so
     each leaf, read as the map v -> leaves[k, v], is an automorphism, and
-    the leaves are one automorphism per coset of the twin group; the
-    enumerator reads its parents' mask orbits off them.
+    the leaves are one automorphism per coset of the twin group.
 
     A graph's nodes stay contiguous and in increasing order of their vertex
     sequences, so its first leaf is the least of its minimal orderings,
     which a depth-first search by (key, vertex) reaches first.
 
-    Returns (leaves, owner, twin): leaves[k, p] is the vertex at position p
-    of leaf k, a leaf of graph owner[k], and twin[i, u, v] says that u and
-    v are twins in graph i (true for u = v).
+    Returns (leaves, owner): leaves[k, p] is the vertex at position p of
+    leaf k, a leaf of graph owner[k].
     """
     count, n = colors.shape
     bit = np.int64(1) << np.arange(n, dtype=np.int64)
-    twin = (rows[:, :, None] & ~bit) == (rows[:, None, :] & ~bit[:, None])
-    lower = np.tril(twin, -1) @ bit  # each vertex's lower twins
+    lower = _lower_twins(rows)
     cell = (colors[:, None, :] == np.sort(colors, axis=1)[:, :, None]) @ bit  # by position
     owner = np.arange(count)
     leaves = np.empty((count, 0), dtype=np.int64)
@@ -331,7 +335,7 @@ def _min_code_leaves(rows: np.ndarray, a: np.ndarray, colors: np.ndarray):
         leaves = np.column_stack([leaves[node], v])
         keys = 2 * keys[node] + a[owner, :, v]
         placed = placed[node] | bit[v]
-    return leaves, owner, twin
+    return leaves, owner
 
 
 def _canonical_forms(rows: np.ndarray, a: np.ndarray, colors: np.ndarray):
@@ -347,7 +351,7 @@ def _canonical_forms(rows: np.ndarray, a: np.ndarray, colors: np.ndarray):
     the vertex placed last iff some leaf places it last.
     """
     count, n = colors.shape
-    leaves, owner, _ = _min_code_leaves(rows, a, colors)
+    leaves, owner = _min_code_leaves(rows, a, colors)
     first = leaves[np.flatnonzero(np.diff(owner, prepend=-1))]
     square = (np.arange(count)[:, None, None], first[:, :, None], first[:, None, :])
     canon = a[square].astype(np.int64) @ (np.int64(1) << np.arange(n, dtype=np.int64))

@@ -309,12 +309,6 @@ def class_action(sigma, classes) -> tuple[int, ...]:
     return tuple(index[sigma[cls[0]]] for cls in classes)
 
 
-def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
-    """Generators of g's automorphism group, with no package code: the twin
-    swaps and the automorphisms that the depth-first search finds."""
-    return reference_min_code_search(g.n, g.adj, reference_colors(g.n, g.adj), twin_swaps(g))[1]
-
-
 def reference_min_code_search(n: int, adj: tuple[int, ...], colors: list[int], swaps):
     """The depth-first canonical search, the oracle for the breadth-first
     pass ``graphs._canonical_forms``.
@@ -395,27 +389,6 @@ def reference_min_code_search(n: int, adj: tuple[int, ...], colors: list[int], s
 
     dfs(0, {v: 0 for v in range(n)})
     return best_perm, gens
-
-
-def reference_orbit_reps(n: int, generators, masks) -> list[int]:
-    """The least mask of each orbit that meets ``masks``, in increasing
-    order, by closing every orbit under the generators one image at a time."""
-    reps = []
-    seen: set[int] = set()
-    for mask in masks:
-        if mask in seen:
-            continue
-        reps.append(mask)
-        seen.add(mask)
-        stack = [mask]
-        while stack:
-            cur = stack.pop()
-            for sigma in generators:
-                img = sum(1 << sigma[v] for v in range(n) if cur >> v & 1)
-                if img not in seen:
-                    seen.add(img)
-                    stack.append(img)
-    return reps
 
 
 def star_forests_up_to(order_cap: int, k_cap: int):

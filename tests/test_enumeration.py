@@ -8,7 +8,6 @@ import starfree.enumeration as enumeration_module
 import starfree.graphs as graphs_module
 from conftest import (
     Unbuildable,
-    automorphism_generators,
     canonical_rows,
     class_action,
     count_calls,
@@ -20,7 +19,6 @@ from conftest import (
     reference_colors,
     reference_min_code_search,
     reference_orbit_ids,
-    reference_orbit_reps,
     twin_classes,
     twin_swaps,
 )
@@ -31,7 +29,6 @@ from starfree.enumeration import (
     GraphClass,
     _children,
     _extend,
-    _mask_orbit_reps,
     enumerate_graphs,
     parse_graph_class,
 )
@@ -181,7 +178,8 @@ class TestCounts:
 
 
 #: The parent levels whose children the fast-path oracles below cover: the
-#: children are every pre-tested child of all <= 7 and bipartite <= 9.
+#: children are every pre-tested, twin-minimal child of all <= 7 and
+#: bipartite <= 9.
 ORACLE_PARENTS = (("all", 6), ("bipartite", 8))
 
 
@@ -189,12 +187,16 @@ def level_graphs(level: np.ndarray) -> list[Graph]:
     return [Graph(level.shape[1], tuple(row)) for row in level.tolist()]
 
 
+def child_row(g: Graph, mask: int) -> list[int]:
+    return [row | (mask >> v & 1) << g.n for v, row in enumerate(g.adj)] + [mask]
+
+
 def pretested_masks(g: Graph, bipartite_only: bool) -> list[int]:
     """The masks whose new vertex has the largest degree in the child, and
     that keep a bipartite parent bipartite: whole orbits of g's group."""
     pool = []
     for mask in range(1 << g.n):
-        child = [row | (mask >> v & 1) << g.n for v, row in enumerate(g.adj)] + [mask]
+        child = child_row(g, mask)
         if mask.bit_count() < max(row.bit_count() for row in child):
             continue
         if bipartite_only and not is_bipartite(Graph(g.n + 1, tuple(child))):
@@ -203,8 +205,19 @@ def pretested_masks(g: Graph, bipartite_only: bool) -> list[int]:
     return pool
 
 
+def holds_lowest_twins(mask: int, classes: list[list[int]]) -> bool:
+    """Whether the mask holds, in each twin class, its lowest vertices: its
+    bits over the class, lowest vertex first, never rise."""
+    for cls in classes:
+        held = [mask >> v & 1 for v in cls]
+        if held != sorted(held, reverse=True):
+            return False
+    return True
+
+
 def pretested_children(cache):
-    """(n, rows) per block of children that pass the degree pre-test."""
+    """(n, rows) per block of children that pass the pre-tests and the twin
+    cut."""
     for base, top in ORACLE_PARENTS:
         for m in range(1, top + 1):
             for rows in _children(cache.level(base, m), base == "bipartite"):
@@ -220,52 +233,40 @@ class TestFastPaths:
             children += len(rows)
         assert children > 1000
 
-    def test_mask_orbit_reps_match_closure(self, cache):
-        # the orbit step on blocks of 1, 7 and all parents keeps, for each
-        # parent, the masks that closing its orbits one image at a time
-        # keeps, under the group that the depth-first search finds
+    def test_children_keep_the_twin_minimal_masks(self, cache, monkeypatch):
+        # on blocks of 1, 7 and all parents, each parent's children are its
+        # pre-tested masks that hold the lowest vertices of each twin class,
+        # in parent then mask order
         parents = 0
         for base, top in ORACLE_PARENTS:
             for m in range(1, top + 1):
                 level = cache.level(base, m)
-                graphs = level_graphs(level)
-                pools = [pretested_masks(g, base == "bipartite") for g in graphs]
-                wants = [reference_orbit_reps(m, automorphism_generators(g), pool)
-                         for g, pool in zip(graphs, pools)]
+                want = []
+                for g in level_graphs(level):
+                    pool = pretested_masks(g, base == "bipartite")
+                    classes = twin_classes(g)
+                    kept = [mask for mask in pool if holds_lowest_twins(mask, classes)]
+                    want += [child_row(g, mask) for mask in kept]
+                    parents += len(kept) < len(pool)
                 for block in (1, 7, len(level)):
-                    for start in range(0, len(level), block):
-                        rows = level[start:start + block]
-                        keep = np.zeros((len(rows), 1 << m), dtype=bool)
-                        for i, pool in enumerate(pools[start:start + block]):
-                            keep[i, pool] = True
-                        parent, mask = _mask_orbit_reps(rows, keep)
-                        assert np.all(np.diff(parent) >= 0), (base, m, block)
-                        for i, want in enumerate(wants[start:start + block]):
-                            assert mask[parent == i].tolist() == want, (base, m, block, start + i)
-                parents += sum(len(want) < len(pool) for want, pool in zip(wants, pools))
+                    monkeypatch.setattr(enumeration_module, "_BLOCK", block)
+                    got = np.concatenate(list(_children(level, base == "bipartite")))
+                    assert got.tolist() == want, (base, m, block)
         assert parents > 100
 
     def test_bipartite_masks_keep_the_child_bipartite(self, cache, monkeypatch):
-        # on blocks of 1, 7 and all parents, the bipartite tree's pre-test
-        # table is the degree pre-test's table cut to the masks whose child
-        # is bipartite
-        calls = count_calls(monkeypatch, "_mask_orbit_reps", enumeration_module)
+        # on blocks of 1, 7 and all parents, the bipartite tree's children
+        # are the all tree's children that are bipartite, in the same order
         cut = 0
         for m in range(1, 8):
             level = cache.level("bipartite", m)
-            want = np.array([[is_bipartite(Graph(m + 1, tuple(
-                row | (mask >> v & 1) << m for v, row in enumerate(g.adj)) + (mask,)))
-                for mask in range(1 << m)] for g in level_graphs(level)])
             for block in (1, 7, len(level)):
                 monkeypatch.setattr(enumeration_module, "_BLOCK", block)
-                tables = []
-                for bipartite_only in (False, True):
-                    calls.clear()
-                    list(_children(level, bipartite_only))
-                    tables.append(np.concatenate([keep for _, keep in calls]))
-                degree, both = tables
-                assert np.array_equal(both, degree & want), (m, block)
-            cut += int((degree & ~want).sum())
+                degree, both = (np.concatenate(list(_children(level, bipartite_only)))
+                                for bipartite_only in (False, True))
+                want = [is_bipartite(Graph(m + 1, tuple(row))) for row in degree.tolist()]
+                assert np.array_equal(both, degree[want]), (m, block)
+            cut += len(degree) - len(both)
         assert cut > 100
 
     def test_every_child_matches_the_search(self, cache):
@@ -284,7 +285,7 @@ class TestFastPaths:
             rows, a, colors = rows[top], a[top], colors[top]
             canon_rows, placed_last, labellings = _canonical_forms(rows, a, colors)
             canon_a = adjacency_bits(canon_rows)
-            leaves, owner, _ = _min_code_leaves(canon_rows, canon_a, _refine(canon_a))
+            leaves, owner = _min_code_leaves(canon_rows, canon_a, _refine(canon_a))
             per_graph = np.split(leaves, np.flatnonzero(np.diff(owner)) + 1)
             for row, cells, canon_row, got_labelling, accept, got in zip(
                 rows.tolist(), colors.tolist(), canon_rows.tolist(), labellings.tolist(),
@@ -335,19 +336,14 @@ class TestFastPaths:
 
     def test_one_pass_per_parent_block(self, cache, monkeypatch):
         # a block of parents is the one batching unit: building all 8
-        # refines each block of all 7 and reads its leaves once, and refines
-        # and labels the children of each block once
-        modules = {"_min_code_leaves": (graphs_module, enumeration_module),
-                   "_refine": (enumeration_module,), "_canonical_forms": (enumeration_module,)}
+        # refines and labels the children of each block of all 7 once
+        modules = {"_min_code_leaves": (graphs_module,), "_refine": (graphs_module, enumeration_module),
+                   "_canonical_forms": (graphs_module, enumeration_module)}
         calls = {name: count_calls(monkeypatch, name, *where) for name, where in modules.items()}
         _extend(cache.level("all", 7), False)
         blocks = -(-OEIS[GraphClass.ALL][6] // enumeration_module._BLOCK)
-        orders = {name: sorted(args[-1].shape[1] for args in made) for name, made in calls.items()}
-        assert orders == {
-            "_min_code_leaves": [7] * blocks + [8] * blocks,
-            "_refine": [7] * blocks + [8] * blocks,
-            "_canonical_forms": [8] * blocks,
-        }
+        orders = {name: [args[-1].shape[1] for args in made] for name, made in calls.items()}
+        assert orders == {name: [8] * blocks for name in modules}
 
     def test_no_graph_per_bipartite_parent(self, cache, monkeypatch):
         # the bipartite pre-test is one walk pass per block of parents and
@@ -388,25 +384,29 @@ class TestFastPaths:
         assert count == OEIS[GraphClass.ALL][7]
         assert peak < 1 << 20, peak
 
-    def test_generators_only_for_parents(self, cache, monkeypatch):
-        # the group is read for the parents being extended, not for the
-        # children: building all 8 reads the leaves of each of the 1 044
-        # graphs of all 7 once, and of no child's canonical form; the only
-        # order-8 leaves are those of the children's labelling pass
-        leaves = count_calls(monkeypatch, "_min_code_leaves", graphs_module, enumeration_module)
+    def test_a_build_labels_only_children(self, cache, monkeypatch):
+        # no parent's group is read: building all 8 walks no labelling tree
+        # of order 7, and each walk is one of the children's labelling passes
+        leaves = count_calls(monkeypatch, "_min_code_leaves", graphs_module)
         forms = count_calls(monkeypatch, "_canonical_forms", enumeration_module)
-        parents = cache.level("all", 7)
-        _extend(parents, False)
-        read = [args[0] for args in leaves if args[0].shape[1] == 7]
-        assert np.array_equal(np.concatenate(read), parents)
-        assert len(leaves) - len(read) == len(forms)
+        _extend(cache.level("all", 7), False)
+        assert [args[0].shape[1] for args in leaves] == [8] * len(forms)
+        assert len(forms) > 0
 
-    def test_orbit_step_memory(self, cache):
-        # the orbit step builds its (pair, leaf) rows one vertex column at a
-        # time on uint16 masks.  Its worst block peaked at 1.56 MB (all 8)
-        # and 3.44 MB (bipartite 10) under tracemalloc with the generator
-        # table and label propagation that it replaced, and (pairs, leaves,
-        # m, m) int64 temporaries would take several times more
+    def test_duplicate_children_are_dropped(self, cache, monkeypatch):
+        # the twin cut keeps some orbits of masks more than once: building
+        # all 8 accepts 15 119 rows for its 12 346 classes, and the level
+        # keeps one row of each
+        sorted_rows = count_calls(monkeypatch, "_graph6_order", enumeration_module)
+        level = _extend(cache.level("all", 7), False)
+        assert [len(args[0]) for args in sorted_rows] == [15119]
+        assert len(level) == OEIS[GraphClass.ALL][7]
+
+    def test_children_memory(self, cache):
+        # the pre-tests and the twin cut work on one (parents, masks) table
+        # per block, one vertex column at a time: 0.92 MB (all 8) and
+        # 1.17 MB (bipartite 10) under tracemalloc, where (parents, masks,
+        # m) temporaries would take several times more
         for base, top in (("all", 8), ("bipartite", 10)):
             parents = cache.level(base, top)
             tracemalloc.start()
