@@ -1,21 +1,27 @@
 """Isomorphism-free enumeration of small graphs by vertex augmentation.
 
-Children (parent plus one new vertex) are generated by McKay's canonical
-augmentation: a child is accepted iff its new vertex lies in the
-automorphism orbit of the vertex that the canonical labelling puts last.
-That orbit is a function of the isomorphism class alone, so every class is
-accepted from exactly one parent class, the class of the child minus that
-vertex, and two accepted children of one parent are isomorphic iff their
-masks lie in one orbit of the parent's group (B. D. McKay, "Isomorph-free
-exhaustive generation", J. Algorithms 26 (1998), section 4).  Two cheap
-necessary conditions run first, because the last canonical position
-belongs to the highest colour cell of the equitable partition, and a
-higher colour id never means a lower degree: the new vertex must have
-maximum degree in the child (integer work on the parent's degrees, which
-one numpy step takes for a block of parents), and it must lie in the
-highest colour cell of the child's equitable partition.  Only the children
-that pass both are labelled, starting from that partition instead of
-refining again.
+A level is extended by joining a new vertex to a mask of each parent on the
+level below.  The children are filtered by tests that depend only on the
+class of the child with its new vertex, and the rows they are labelled to
+are sorted, which is the one uniqueness rule: isomorphic graphs have equal
+canonical rows, so ``_extend`` drops each row equal to the one before it,
+and keeps exactly one row per class.
+
+The filters keep a child of every class.  Take any class G and the vertex v
+that its canonical labelling places last.  Positions are filled cell by
+cell of the equitable partition, cells in increasing colour, and a higher
+colour id never means a lower degree, so v is in G's top colour cell and
+has maximum degree.  G - v is bipartite when G is, and no odd walk of G - v
+joins two neighbours of v, or it would close an odd cycle through v.  G - v
+has a canonical row P on the level below, and an isomorphism maps N(v) to
+a mask of P; swapping twins of P (N(u) - v = N(v) - u,
+``graphs._lower_twins``) is an automorphism, and turns that mask into a
+twin-minimal one, which holds each lower twin of each of its vertices.  So
+the child of P with that mask is isomorphic to G by a map that takes its
+new vertex to v, and it passes the degree, odd-walk, twin and top-cell
+filters.  McKay's canonical augmentation builds the same tree and accepts a
+child only from one parent class (B. D. McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26 (1998), section 4); here the sort does that.
 
 A level is its canonical graphs and nothing else: one (N, n) uint16 array
 of canonical neighbour masks, sorted by graph6 code by lexsorting the
@@ -29,24 +35,20 @@ A level is extended a block of ``_BLOCK`` parents at a time, and a block
 is the only batching unit: each takes one straight pass, and yields one
 block of children, which bounds the working memory.  The block's
 attachment masks are pre-tested as one (parents, masks) table (the degree
-test, and for the bipartite tree the odd-walk test, from one
-``graphs._walks`` pass on the block's rows; both keep whole orbits), then
-cut to the twin-minimal masks: a mask that holds a vertex holds each of
-its lower twins (N(u) - v = N(v) - u, ``graphs._lower_twins``).  Swapping
-two twins is an automorphism, so the cut keeps a mask of every orbit, and
-no parent is refined or labelled.  It keeps some orbits more than once, so
-one parent can yield isomorphic accepted children.  Isomorphic graphs have
-the same canonical row, and the level is sorted, so ``_extend`` drops each
-row equal to the one before it, and keeps exactly one row per class.
+test: the new vertex must have maximum degree in the child, integer work
+on the parent's degrees; and for the bipartite tree the odd-walk test,
+from one ``graphs._walks`` pass on the block's rows), then cut to the
+twin-minimal masks, so no parent is refined or labelled.  The cut keeps
+some orbits of a parent's masks more than once, and a class can come from
+several parents; the sort drops both kinds of duplicate.
 
 All the children of a block are then unpacked into adjacency matrices in
 one numpy step, refined in one batched call (``graphs._refine``, the only
-refinement), top-cell tested by one vectorised comparison, and labelled by
-one breadth-first pass (``graphs._canonical_forms``, the only labelling).
-The pass keeps every minimal-code ordering that places each twin class
-lowest vertex first, so a child is accepted iff one of them places its new
-vertex, the highest, last.  Blocks change no result: the level is sorted
-by code.
+refinement), top-cell tested by one vectorised comparison (the new vertex
+must lie in the highest colour cell of the child's equitable partition),
+and labelled by one breadth-first pass (``graphs._canonical_forms``, the
+only labelling), which starts from that partition instead of refining
+again.  Blocks change no result: the level is sorted by code.
 
 Bipartite graphs are closed under vertex deletion, so the bipartite classes
 are generated by the same augmentation restricted to bipartite parents and
@@ -137,7 +139,7 @@ def _children(parents: np.ndarray, bipartite_only: bool) -> Iterator[np.ndarray]
         # the new vertex is adjacent to a vertex of degree top.  The parents
         # are bipartite on the bipartite tree, so there a mask keeps the
         # child bipartite iff no odd walk joins two of its vertices.  Both
-        # tests keep whole orbits: an automorphism keeps degrees and walks
+        # tests read only what an isomorphism keeps: degrees and walks
         deg = adjacency_bits(block).sum(axis=2)
         top = deg.max(axis=1, keepdims=True)
         keep = bits.sum(axis=1) >= top + ((deg == top) @ bits.T > 0)
@@ -164,12 +166,11 @@ def _extend(parents: np.ndarray, bipartite_only: bool) -> np.ndarray:
         a = adjacency_bits(block)
         colors = _refine(a)
         top = colors[:, -1] == colors.max(axis=1)  # top-cell pre-test
-        canon, accept, _ = _canonical_forms(block[top], a[top], colors[top])
-        rows.append(canon[accept].astype(np.uint16))
+        rows.append(_canonical_forms(block[top], a[top], colors[top])[0].astype(np.uint16))
     rows = np.concatenate(rows)
     rows = rows[_graph6_order(rows)]
-    # isomorphic children, from twin-minimal masks in one orbit, are equal
-    # rows, and the sort puts them side by side
+    # isomorphic children, of one parent or of several, are equal rows, and
+    # the sort puts them side by side
     return rows[np.insert(np.any(rows[1:] != rows[:-1], axis=1), 0, True)]
 
 

@@ -16,9 +16,8 @@ strings.
 Labelling has one path.  One breadth-first pass (``_min_code_leaves``)
 walks the labelling tree for a whole stack of same-order graphs, keeping at
 each depth every prefix of minimal code that places each twin class
-(N(u) - v = N(v) - u, ``_lower_twins``) lowest vertex first.  Its leaves
-give each graph's canonical neighbour masks, its labelling and whether the
-vertex placed last is in the orbit of the highest vertex
+(N(u) - v = N(v) - u, ``_lower_twins``) lowest vertex first.  The first
+leaf of each graph gives its canonical neighbour masks and its labelling
 (``_canonical_forms``), as arrays, so no automorphism group is ever made.
 The enumerator reads only the twins of the parents it extends, with the
 same ``_lower_twins``, and labels only their children.
@@ -340,25 +339,20 @@ def _min_code_leaves(rows: np.ndarray, a: np.ndarray, colors: np.ndarray):
 
 def _canonical_forms(rows: np.ndarray, a: np.ndarray, colors: np.ndarray):
     """The canonical forms of N same-order graphs (arguments as in
-    ``_min_code_leaves``), as arrays, and whether each graph's vertex n - 1
-    lies in the automorphism orbit of the vertex placed last.
+    ``_min_code_leaves``), as arrays.
 
-    Returns (canon, placed_last, labellings).  canon[i] holds graph i's
-    canonical neighbour masks and labellings[i] maps its vertices to their
-    canonical positions; both come from its first leaf.  A leaf places each
-    twin class lowest vertex first, so it places last the highest vertex of
-    the last class; vertex n - 1, the highest of all, is in the orbit of
-    the vertex placed last iff some leaf places it last.
+    Returns (canon, labellings).  canon[i] holds graph i's canonical
+    neighbour masks and labellings[i] maps its vertices to their canonical
+    positions; both come from its first leaf.  Every leaf has the minimal
+    code, which depends on the class alone, so isomorphic graphs get equal
+    rows.
     """
     count, n = colors.shape
     leaves, owner = _min_code_leaves(rows, a, colors)
     first = leaves[np.flatnonzero(np.diff(owner, prepend=-1))]
     square = (np.arange(count)[:, None, None], first[:, :, None], first[:, None, :])
     canon = a[square].astype(np.int64) @ (np.int64(1) << np.arange(n, dtype=np.int64))
-    placed_last = np.zeros(count, dtype=bool)
-    if n:
-        placed_last[owner[leaves[:, -1] == n - 1]] = True
-    return canon, placed_last, np.argsort(first, axis=1)
+    return canon, np.argsort(first, axis=1)
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -373,7 +367,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
         )
     rows = np.array([g.adj], dtype=np.int64)
     a = adjacency_bits(rows)
-    canon, _, labellings = _canonical_forms(rows, a, _refine(a))
+    canon, labellings = _canonical_forms(rows, a, _refine(a))
     h = Graph(g.n, tuple(canon[0].tolist()))
     return CanonicalForm(h, graph6_encode(h), tuple(labellings[0].tolist()))
 

@@ -18,7 +18,6 @@ from conftest import (
     level_codes,
     reference_colors,
     reference_min_code_search,
-    reference_orbit_ids,
     twin_classes,
     twin_swaps,
 )
@@ -271,25 +270,23 @@ class TestFastPaths:
 
     def test_every_child_matches_the_search(self, cache):
         # every child that passes both pre-tests must get from the labelling
-        # pass the form and the acceptance that the depth-first search and
-        # its orbit test give.  The leaves of its canonical form must be
-        # automorphisms, one per coset of the twin group, that with the twin
-        # group make the group the search finds: both groups hold the twin
-        # group, the kernel of the action on the twin classes, so they are
-        # equal iff they act alike on the classes
+        # pass the form that the depth-first search gives.  The leaves of its
+        # canonical form must be automorphisms, one per coset of the twin
+        # group, that with the twin group make the group the search finds:
+        # both groups hold the twin group, the kernel of the action on the
+        # twin classes, so they are equal iff they act alike on the classes
         several = one = 0
         for n, rows in pretested_children(cache):
             a = adjacency_bits(rows)
             colors = _refine(a)
             top = colors[:, -1] == colors.max(axis=1)
             rows, a, colors = rows[top], a[top], colors[top]
-            canon_rows, placed_last, labellings = _canonical_forms(rows, a, colors)
+            canon_rows, labellings = _canonical_forms(rows, a, colors)
             canon_a = adjacency_bits(canon_rows)
             leaves, owner = _min_code_leaves(canon_rows, canon_a, _refine(canon_a))
             per_graph = np.split(leaves, np.flatnonzero(np.diff(owner)) + 1)
-            for row, cells, canon_row, got_labelling, accept, got in zip(
-                rows.tolist(), colors.tolist(), canon_rows.tolist(), labellings.tolist(),
-                placed_last.tolist(), per_graph,
+            for row, cells, canon_row, got_labelling, got in zip(
+                rows.tolist(), colors.tolist(), canon_rows.tolist(), labellings.tolist(), per_graph,
             ):
                 several += len(got) > 1
                 one += len(got) == 1
@@ -306,24 +303,7 @@ class TestFastPaths:
                 assert len(actions) == len(got)
                 want_actions = [class_action(sigma, classes) for sigma in want]
                 assert actions == group_closure(len(classes), want_actions)
-                orbit = reference_orbit_ids(n, want)
-                assert accept == (orbit[labelling[-1]] == orbit[n - 1])
         assert several > 100 and one > 100
-
-    def test_rejected_children_are_already_in_the_level(self, cache):
-        # a child whose new vertex is not in the orbit of the vertex placed
-        # last is rejected; its class is accepted from another parent
-        level = set(map(tuple, cache.level("all", 8).tolist()))
-        rejected = 0
-        for rows in _children(cache.level("all", 7), False):
-            a = adjacency_bits(rows)
-            colors = _refine(a)
-            top = colors[:, -1] == colors.max(axis=1)
-            canon, placed_last, _ = _canonical_forms(rows[top], a[top], colors[top])
-            for row in canon[~placed_last].tolist():
-                rejected += 1
-                assert tuple(row) in level
-        assert rejected > 0
 
     def test_block_size_does_not_change_a_level(self, cache, monkeypatch):
         largest = max(len(cache.level(base, top)) for base, top in ORACLE_PARENTS)
@@ -336,11 +316,13 @@ class TestFastPaths:
 
     def test_one_pass_per_parent_block(self, cache, monkeypatch):
         # a block of parents is the one batching unit: building all 8
-        # refines and labels the children of each block of all 7 once
+        # refines and labels the children of each block of all 7 once, and
+        # walks no labelling tree of order 7, so no parent's group is read
         modules = {"_min_code_leaves": (graphs_module,), "_refine": (graphs_module, enumeration_module),
                    "_canonical_forms": (graphs_module, enumeration_module)}
+        parents = cache.level("all", 7)
         calls = {name: count_calls(monkeypatch, name, *where) for name, where in modules.items()}
-        _extend(cache.level("all", 7), False)
+        _extend(parents, False)
         blocks = -(-OEIS[GraphClass.ALL][6] // enumeration_module._BLOCK)
         orders = {name: [args[-1].shape[1] for args in made] for name, made in calls.items()}
         assert orders == {name: [8] * blocks for name in modules}
@@ -351,9 +333,10 @@ class TestFastPaths:
         def refuse(*args):
             raise AssertionError("Graph built during a level build")
 
+        parents = cache.level("bipartite", 8)
         calls = count_calls(monkeypatch, "_walks", enumeration_module)
         monkeypatch.setattr(enumeration_module, "Graph", refuse)
-        level = _extend(cache.level("bipartite", 8), True)
+        level = _extend(parents, True)
         assert len(level) == OEIS[GraphClass.BIPARTITE][8]
         assert len(calls) == -(-OEIS[GraphClass.BIPARTITE][7] // enumeration_module._BLOCK)
 
@@ -384,23 +367,16 @@ class TestFastPaths:
         assert count == OEIS[GraphClass.ALL][7]
         assert peak < 1 << 20, peak
 
-    def test_a_build_labels_only_children(self, cache, monkeypatch):
-        # no parent's group is read: building all 8 walks no labelling tree
-        # of order 7, and each walk is one of the children's labelling passes
-        leaves = count_calls(monkeypatch, "_min_code_leaves", graphs_module)
-        forms = count_calls(monkeypatch, "_canonical_forms", enumeration_module)
-        _extend(cache.level("all", 7), False)
-        assert [args[0].shape[1] for args in leaves] == [8] * len(forms)
-        assert len(forms) > 0
-
     def test_duplicate_children_are_dropped(self, cache, monkeypatch):
-        # the twin cut keeps some orbits of masks more than once: building
-        # all 8 accepts 15 119 rows for its 12 346 classes, and the level
-        # keeps one row of each
+        # the sort is the one uniqueness rule: building all 8 labels 15 144
+        # top-cell children for its 12 346 classes, every labelled row is a
+        # row of the level, and the level keeps one row of each
+        parents = cache.level("all", 7)
         sorted_rows = count_calls(monkeypatch, "_graph6_order", enumeration_module)
-        level = _extend(cache.level("all", 7), False)
-        assert [len(args[0]) for args in sorted_rows] == [15119]
+        level = _extend(parents, False)
+        assert [len(args[0]) for args in sorted_rows] == [15144]
         assert len(level) == OEIS[GraphClass.ALL][7]
+        assert np.array_equal(np.unique(sorted_rows[0][0], axis=0), np.unique(level, axis=0))
 
     def test_children_memory(self, cache):
         # the pre-tests and the twin cut work on one (parents, masks) table
