@@ -131,7 +131,7 @@ def _children(parents: np.ndarray, bipartite_only: bool) -> Iterator[np.ndarray]
     order)."""
     m = parents.shape[1]
     masks = np.arange(1 << m, dtype=np.uint16)
-    bits = masks[:, None] >> np.arange(m) & 1
+    bits = masks[:, None] >> np.arange(m, dtype=masks.dtype) & 1
     single = np.uint16(1) << np.arange(m, dtype=np.uint16)
     for start in range(0, len(parents), _BLOCK):
         block = parents[start:start + _BLOCK]

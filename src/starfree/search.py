@@ -7,14 +7,15 @@ deterministic key order) so runs diff cleanly.
 
 The three class scans, ``extremal_search``, ``conjecture_margin_table`` and
 ``verify_edge_bound``, share one pass over the class (``_free_rows``).  It
-takes the class's rows from ``enumeration.class_rows``, tests each row's
-neighbour masks for the forest, and keeps the free rows as one (N, n)
-array, in graph6 order; it makes no ``Graph`` and keeps no Python object
-per member.  Each scan then reduces that array as a whole: the radii and q
-come from one batched ``spectra.extreme_eigenvalues`` call, and edge counts
-from the rows.  The maximisers are the free graphs whose radius is within
-RHO_TIE_TOL of the maximum, the one tie rule.  A graph6 string is written
-only for the rows that are output, and already comes in graph6 order.
+takes the class's rows from ``enumeration.class_rows``, decides the forest
+for the whole stack of rows in one containment call, and keeps the free
+rows as one (N, n) array, in graph6 order; it makes no ``Graph`` and keeps
+no Python object per member.  Each scan then reduces that array as a
+whole: the radii and q come from one batched ``spectra.extreme_eigenvalues``
+call, and edge counts from the rows.  The maximisers are the free graphs
+whose radius is within RHO_TIE_TOL of the maximum, the one tie rule.  A
+graph6 string is written only for the rows that are output, and already
+comes in graph6 order.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enumeration import EnumerationCache, GraphClass, _row_lists, class_rows
+from .enumeration import EnumerationCache, GraphClass, class_rows
 from .errors import DivisionByZeroK2, EmptyClass, NoRegularGraph, ParamOutOfRange, ParseError
 from .families import (
     make_clique_join_regular,
@@ -35,7 +36,7 @@ from .families import (
 )
 from .graphs import Graph, edges, from_edges, graph6_encode
 from .spectra import adjacency_spectra, extreme_eigenvalues, spectral_radius
-from .star_forests import StarForest, coarse_edge_bound, contains_star_forest, parse_star_forest
+from .star_forests import StarForest, _contains_stack, coarse_edge_bound, parse_star_forest
 
 RHO_TIE_TOL = 1e-9
 
@@ -140,12 +141,10 @@ def _free_rows(
     n: int, forest: StarForest, graph_class: GraphClass, cache: EnumerationCache | None
 ) -> tuple[int, np.ndarray]:
     """The class size, and the neighbour masks of its forest-free members as
-    one (N, n) uint16 array in graph6 order.  Containment reads each row as
-    a list of Python ints."""
+    one (N, n) uint16 array in graph6 order.  Containment decides the whole
+    stack of rows in one call."""
     rows = class_rows(n, graph_class, cache)
-    free = np.fromiter((not contains_star_forest(row, forest) for row in _row_lists(rows)),
-                       bool, len(rows))
-    return len(rows), rows[free]
+    return len(rows), rows[~_contains_stack(rows, forest)]
 
 
 def _graph6(row: list[int]) -> str:

@@ -391,6 +391,10 @@ def reference_min_code_search(n: int, adj: tuple[int, ...], colors: list[int], s
     return best_perm, gens
 
 
+#: The forests of the scan and stack oracles: two to three stars, orders 5 to 7.
+ORACLE_FORESTS = ((2, 1), (1, 1, 1), (2, 2), (2, 1, 1), (3, 2))
+
+
 def star_forests_up_to(order_cap: int, k_cap: int):
     """All sorted star forests with at most k_cap stars and order <= order_cap."""
     out = []
