@@ -177,9 +177,9 @@ def _cmd_search(args) -> int:
         lines.append(
             f"bound {_sig(rec.bound_value)}  applicable {str(rec.bound_applicable).lower()}  gap {_sig(rec.gap)}"
         )
-    _emit(args, payload, lines)
     if args.out:
         write_records([rec], args.out)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -224,9 +224,9 @@ def _cmd_conjecture(args) -> int:
         f" {len(table.exceeders)} above the bound",
     ]
     lines += [f"  {r.graph6}  q={_sig(r.q)}  margin={_sig(r.margin)}" for r in table.rows]
-    _emit(args, table.to_json_dict(), lines)
     if args.out:
         write_records(table.rows, args.out)
+    _emit(args, table.to_json_dict(), lines)
     return EXIT_OK
 
 

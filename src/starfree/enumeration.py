@@ -190,15 +190,14 @@ class EnumerationCache:
         return levels[n - 1]
 
 
-def class_rows(
-    n: int, graph_class: GraphClass = GraphClass.ALL, cache: EnumerationCache | None = None
-) -> np.ndarray:
+def class_rows(n: int, graph_class: GraphClass, cache: EnumerationCache) -> np.ndarray:
     """The canonical neighbour masks of the class's order-n members, (N, n)
     uint16 in graph6 order.
 
     The one map from a class to its rows: n and the class's ceiling are
-    checked before any level is built, a connected class is cut from its
-    level by one walk pass, and without a cache the level is built afresh.
+    checked before any level is built, and a connected class is cut from its
+    level by one walk pass.  The levels are the cache's, so the caller sees
+    every level that the call builds.
     """
     if n < 1:
         raise ParamOutOfRange(f"enumeration needs n >= 1, got {n}")
@@ -206,8 +205,6 @@ def class_rows(
         raise OrderTooLarge(
             f"enumeration of class {graph_class.value!r} capped at order {graph_class.ceiling}, got {n}"
         )
-    if cache is None:
-        cache = EnumerationCache()
     rows = cache.level("bipartite" if graph_class.bipartite_only else "all", n)
     return rows[_connected(rows)] if graph_class.connected_only else rows
 
@@ -220,9 +217,7 @@ def _row_lists(rows: np.ndarray) -> Iterator[list[int]]:
         yield from rows[start:start + 4096].tolist()
 
 
-def enumerate_graphs(
-    n: int, graph_class: GraphClass = GraphClass.ALL, cache: EnumerationCache | None = None
-) -> Iterator[Graph]:
+def enumerate_graphs(n: int, graph_class: GraphClass, cache: EnumerationCache) -> Iterator[Graph]:
     """Yield one canonical representative per isomorphism class of order n:
     the class's rows (``class_rows``) as ``Graph`` objects, in graph6 order."""
     for row in _row_lists(class_rows(n, graph_class, cache)):

@@ -138,7 +138,7 @@ def applicable_bound(n: int, forest: StarForest, graph_class: GraphClass):
 
 
 def _free_rows(
-    n: int, forest: StarForest, graph_class: GraphClass, cache: EnumerationCache | None
+    n: int, forest: StarForest, graph_class: GraphClass, cache: EnumerationCache
 ) -> tuple[int, np.ndarray]:
     """The class size, and the neighbour masks of its forest-free members as
     one (N, n) uint16 array in graph6 order.  Containment decides the whole
@@ -154,8 +154,8 @@ def _graph6(row: list[int]) -> str:
 def extremal_search(
     n: int,
     forest: StarForest,
-    graph_class: GraphClass = GraphClass.ALL,
-    cache: EnumerationCache | None = None,
+    graph_class: GraphClass,
+    cache: EnumerationCache,
 ) -> SearchRecord:
     """Scan the class, keep the forest-free graphs, maximise the radius.
 
@@ -287,8 +287,8 @@ class EdgeBoundViolation:
 def verify_edge_bound(
     n: int,
     forest: StarForest,
-    graph_class: GraphClass = GraphClass.ALL,
-    cache: EnumerationCache | None = None,
+    graph_class: GraphClass,
+    cache: EnumerationCache,
 ) -> list[EdgeBoundViolation]:
     """Check every forest-free graph against the coarse edge bound.
 
@@ -348,8 +348,8 @@ class QMarginTable:
 def conjecture_margin_table(
     n: int,
     forest: StarForest,
-    graph_class: GraphClass = GraphClass.ALL,
-    cache: EnumerationCache | None = None,
+    graph_class: GraphClass,
+    cache: EnumerationCache,
 ) -> QMarginTable:
     """The q margin of every forest-free graph of the class, in graph6 order.
 

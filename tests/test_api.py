@@ -5,13 +5,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "starfree"
 
 
-def _exports() -> list[str]:
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return [alias.asname or alias.name
-            for node in tree.body if isinstance(node, ast.ImportFrom)
-            for alias in node.names]
-
-
 def _used_names(source: str) -> set[str]:
     """Names that the code loads, bare or as an attribute; docstrings,
     comments and definitions do not count."""
@@ -53,9 +46,33 @@ def _callers() -> set[str]:
     return set().union(*(_used_names(path.read_text()) for path in sources))
 
 
-def test_every_export_has_a_caller():
-    used = _callers()
-    assert [name for name in _exports() if name not in used] == []
+def _imported_names(source: str) -> list[str]:
+    """The names that the module's import statements bind, ``__future__``
+    features aside; ``import a.b`` binds ``a``."""
+    return [alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names]
+
+
+def test_imports_are_read_from_code():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from .graphs import Graph, edges as graph_edges\n"
+    )
+    assert _imported_names(source) == ["np", "os", "Graph", "graph_edges"]
+
+
+def test_every_import_is_used():
+    # each public name has one import path, its own module: a name that a
+    # module imports only to pass it on would be a second one
+    unused = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+              for name in _imported_names(path.read_text())
+              if name not in _used_names(path.read_text())]
+    assert unused == []
 
 
 def test_every_public_definition_has_a_caller():

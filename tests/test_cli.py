@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,8 @@ from conftest import count_calls, doctor_spectra
 from starfree import cli, spectra
 from starfree.families import make_complete_bipartite
 from starfree.graphs import graph6_decode, graph6_encode
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -241,6 +247,17 @@ class TestSearchAndSuites:
         assert lines == [json.dumps(row, sort_keys=True) for row in payload["rows"]]
         assert lines[0] == '{"graph6": "E???", "margin": -6.449489742783178, "q": 0.0}'
 
+    def test_unwritable_out_leaves_stdout_empty(self, capsys, tmp_path):
+        # the file is written before anything is printed, so a failed write
+        # exits 1 with nothing on stdout, like every other domain error
+        path = tmp_path / "missing" / "x.jsonl"
+        for argv in (("search", "5", "2,1", "all"), ("conjecture", "6", "2,2", "all")):
+            for mode in ((), ("--json",)):
+                code, out, err = run(capsys, *mode, *argv, "--out", str(path))
+                assert (code, out) == (1, ""), (mode, argv)
+                assert err.startswith("error: [Errno 2] No such file or directory")
+        assert not path.parent.exists()
+
     def test_perron(self, capsys):
         code, out, _ = run(capsys, "--json", "perron", graph6_encode(make_complete_bipartite(2, 9)))
         assert code == 0
@@ -253,6 +270,16 @@ class TestSearchAndSuites:
         code, out, _ = run(capsys, "--json", "perron", graph6_encode(make_complete_bipartite(2, 9)))
         assert code == 0 and json.loads(out)["floor_ok"] is True
         assert len(calls) == 1
+
+
+class TestEntryPath:
+    def test_module_entry_in_a_fresh_interpreter(self, tmp_path):
+        # the console script and ``python -m`` import the package root first,
+        # which no in-process test does
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run([sys.executable, "-m", "starfree.cli", "--json", "rho", "D??"],
+                              capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, '{"rho": 0.0}\n'), proc.stderr
 
 
 class TestDeterminism:

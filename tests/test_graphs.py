@@ -242,12 +242,10 @@ class TestCanonical:
             for sigma in leaves(cf.graph):
                 assert relabel(cf.graph, sigma) == cf.graph
 
-    def test_brute_oracle_distinct_on_classes_n6(self):
+    def test_brute_oracle_distinct_on_classes_n6(self, cache):
         # one representative per class: the all-orderings minimum must
         # separate them exactly as the canonical codes do
-        from starfree.enumeration import enumerate_graphs
-
-        reps = list(enumerate_graphs(6))
+        reps = list(enumerate_graphs(6, GraphClass.ALL, cache))
         assert len({canonical_form(g).code for g in reps}) == len(reps)
         assert len({brute_min_cols(g) for g in reps}) == len(reps)
 
