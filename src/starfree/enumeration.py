@@ -89,11 +89,12 @@ BIPARTITE_CEILING = 12
 # pre-tests and twin cut, and the refinement and labelling of all their
 # children, so the block bounds its working memory.  Process time and peak
 # RSS of a fresh build, 3 runs each on a 2-vCPU VM:
-#   block  all 9               bipartite 11         bipartite 12
-#   32     3.7-4.7 s, 54.9 MB  1.0-1.3 s, 33.9 MB   7.5-10.5 s, 58.1 MB
-#   64     3.7-4.8 s, 52.8 MB  0.9-1.2 s, 34.7 MB   8.3-9.5 s, 57.6 MB
-#   128    4.1-4.8 s, 55.9 MB  1.0-1.1 s, 37.5 MB   8.2-9.3 s, 63.7 MB
-# and all 8 peaks at 31.7 / 33.4 / 34.9 MB.
+#   block  all 9                 bipartite 11           bipartite 12
+#   32     1.75-1.82 s, 54.1 MB  0.59-0.77 s, 33.6 MB   4.67-5.72 s, 57.8 MB
+#   64     1.58-2.05 s, 52.7 MB  0.50-0.78 s, 33.6 MB   4.11-5.26 s, 56.8 MB
+#   128    1.55-1.60 s, 57.1 MB  0.45-0.52 s, 34.2 MB   3.85-4.30 s, 56.2 MB
+# and all 8 peaks at 30.3 / 31.1 / 33.0 MB.  128 is a little faster but
+# peaks higher at all 8 and all 9, so 64 stays.
 _BLOCK = 64
 
 

@@ -16,9 +16,14 @@ strings.
 Labelling has one path.  One breadth-first pass (``_min_code_leaves``)
 walks the labelling tree for a whole stack of same-order graphs, keeping at
 each depth every prefix of minimal code that places each twin class
-(N(u) - v = N(v) - u, ``_lower_twins``) lowest vertex first.  The first
-leaf of each graph gives its canonical neighbour masks and its labelling
-(``_canonical_forms``), as arrays, so no automorphism group is ever made.
+(N(u) - v = N(v) - u, ``_lower_twins``) lowest vertex first.  A depth
+takes its candidates as (node, vertex) pairs from the position's cell,
+keeps the pairs of least key per graph, and stores only a back-pointer
+from each new node to its parent and the vertex it placed; the orderings
+are read back once, at the leaves.  The first leaf of each graph gives its
+labelling, and its final keys give its canonical neighbour masks, each row
+read backwards (``_canonical_forms``), as arrays, so no automorphism group
+is ever made and no adjacency matrix is permuted.
 The enumerator reads only the twins of the parents it extends, with the
 same ``_lower_twins``, and labels only their children.
 ``canonical_form`` is ``_canonical_forms`` on a stack of one, and the only
@@ -38,18 +43,22 @@ reach of each vertex.
 Rows leave the bitmask form in one place: ``adjacency_bits`` unpacks a stack
 of rows into 0/1 matrices, for the spectra and for the refinement.  The
 refinement (``_refine``) has one path, batched over a stack of same-order
-graphs; one graph is a stack of one.  A round ranks each vertex by (own
-colour, sorted multiset of neighbour colours).  All vertices of one colour
+graphs; one graph is a stack of one.  A round refines only the graphs that
+still move: a graph leaves the stack when a round gives back its colours,
+or as soon as its partition is discrete, which no round can split.  A
+round ranks each vertex by (own colour, sorted multiset of neighbour
+colours).  All vertices of one colour
 have the same degree (colours start as degrees and only split), so two
 multisets compared within a colour have equal size, and then the sorted
 tuple that is smaller is the one with more neighbours of the first colour
 where their counts differ: the order is that of (own colour, -count_0,
 -count_1, ...).  With B = n + 1, every n - count_k lies in 1..n, so
 colour * B^n + sum_k (n - count_k) * B^(n-1-k) orders exactly like that
-tuple, and it stays below n * B^n, about 2.8e14 at the canonical ceiling
-n = 12, well inside int64.  Ids are the dense rank of these keys
-within each graph, so they equal the ids of ranking the signatures
-themselves.
+tuple, and it stays below n * B^n, which is below 2^63 exactly while
+n <= 14 (4.1e17 at n = 14, 1.7e19 at n = 15); ``_refine`` raises
+``OrderTooLarge`` past 14 before any round.  Ids are the dense rank of
+these keys within each graph, so they equal the ids of ranking the
+signatures themselves.
 """
 
 from __future__ import annotations
@@ -66,7 +75,8 @@ MAX_ORDER = 64
 #: Ceiling for canonical labelling.  The breadth-first pass holds every
 #: minimal prefix at once; the widest measured at this order is 10 080 nodes
 #: for one child of the bipartite order-12 level (15 ms on a 2-vCPU VM), and
-#: 4 320 for C12 and 2C6.
+#: 4 320 for C12 and 2C6.  The pass keeps its vertex masks and keys as int32,
+#: which hold orders up to 30; the refinement's keys hold orders up to 14.
 CANONICAL_CEILING = 12
 
 
@@ -250,36 +260,44 @@ def _refine(a: np.ndarray) -> np.ndarray:
     """Stable colour refinement of N graphs at once, from their (N, n, n) 0/1
     adjacency matrices; returns (N, n) isomorphism-invariant colour ids.
 
-    Colours start as degrees; each round recolours every vertex by (own
-    colour, sorted multiset of neighbour colours), with ids the dense rank of
-    these signatures within the graph.  Refinement only ever splits cells, so
-    a graph's partition is stable exactly when a round gives back its ids,
-    and stable graphs stay fixed while the others refine.  The signature is
-    packed into one int64 key (see the module docstring): with B = n + 1 and
-    count_k the number of neighbours of colour k,
-    key = colour * B^n + sum_k (n - count_k) * B^(n-1-k).
+    Colours start as degrees, ranked per graph through a table of the
+    degrees present; each round recolours every vertex by (own colour,
+    sorted multiset of neighbour colours), with ids the dense rank of these
+    signatures within the graph.  Refinement only ever splits cells, so a
+    graph's partition is stable exactly when a round gives back its ids, or
+    when it is discrete; a round refines only the graphs that are neither.
+    The signature is packed into one int64 key (see the module docstring):
+    with B = n + 1 and count_k the number of neighbours of colour k,
+    key = colour * B^n + sum_k (n - count_k) * B^(n-1-k), exact for n <= 14.
     """
-    n = a.shape[1]
+    count, n = a.shape[:2]
+    if n > 14:
+        raise OrderTooLarge(f"colour refinement keys are exact up to order 14, got {n}")
     base = n + 1
     powers = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
     offset = base**n * np.arange(n, dtype=np.int64) + n * powers.sum()
-    a = a.astype(np.int64)
-    colors = _dense_rank(a.sum(axis=2))
-    while True:
-        keys = offset[colors] - (a @ powers[colors][..., None])[..., 0]
+    deg = a @ np.ones(n, dtype=np.uint8)
+    present = np.zeros((count, n), dtype=bool)
+    present[np.arange(count)[:, None], deg] = True
+    colors = np.take_along_axis(present.cumsum(axis=1) - 1, deg, axis=1)
+    active = np.flatnonzero(colors.max(axis=1, initial=-1) < n - 1)
+    while len(active):
+        old = colors[active]
+        keys = offset[old] - (a[active].astype(np.int64) @ powers[old][..., None])[..., 0]
         refined = _dense_rank(keys)
-        if np.array_equal(refined, colors):
-            return colors
-        colors = refined
+        colors[active] = refined
+        active = active[np.any(refined != old, axis=1) & (refined.max(axis=1) < n - 1)]
+    return colors
 
 
 def _lower_twins(rows: np.ndarray) -> np.ndarray:
     """Each vertex's lower twins, for an (N, n) stack of neighbour masks:
     an (N, n) array of masks of the rows' dtype, bit u of [i, v] set iff
     u < v and N(u) - v = N(v) - u in graph i."""
-    bit = rows.dtype.type(1) << np.arange(rows.shape[1], dtype=rows.dtype)
+    n = rows.shape[1]
+    bit = rows.dtype.type(1) << np.arange(n, dtype=rows.dtype)
     twin = (rows[:, :, None] & ~bit) == (rows[:, None, :] & ~bit[:, None])
-    return np.tril(twin, -1) @ bit
+    return (twin & (np.arange(n) < np.arange(n)[:, None])) @ bit
 
 
 def _min_code_leaves(rows: np.ndarray, a: np.ndarray, colors: np.ndarray):
@@ -308,33 +326,49 @@ def _min_code_leaves(rows: np.ndarray, a: np.ndarray, colors: np.ndarray):
     each leaf, read as the map v -> leaves[k, v], is an automorphism, and
     the leaves are one automorphism per coset of the twin group.
 
-    A graph's nodes stay contiguous and in increasing order of their vertex
-    sequences, so its first leaf is the least of its minimal orderings,
-    which a depth-first search by (key, vertex) reaches first.
+    A depth takes its candidates as (node, vertex) pairs, ``np.nonzero`` of
+    the vertices each node may place, and keeps the pairs whose key is
+    least in their graph.  It stores one back-pointer array (each new
+    node's parent) and the placed vertices, so no prefix is copied; the
+    orderings are read back along the pointers once, at the leaves.  The
+    masks and keys are int32, which holds orders up to 30.
+    ``np.nonzero`` keeps the nodes in order, so a graph's nodes stay
+    contiguous and in increasing order of their vertex sequences, and its
+    first leaf is the least of its minimal orderings, which a depth-first
+    search by (key, vertex) reaches first.
 
-    Returns (leaves, owner): leaves[k, p] is the vertex at position p of
-    leaf k, a leaf of graph owner[k].
+    Returns (leaves, owner, keys): leaves[k, p] is the vertex at position p
+    of leaf k, a leaf of graph owner[k], and keys[k, v] is v's column key
+    at that leaf, which holds all n positions.
     """
     count, n = colors.shape
-    bit = np.int64(1) << np.arange(n, dtype=np.int64)
-    lower = _lower_twins(rows)
+    bit = np.int32(1) << np.arange(n, dtype=np.int32)
+    lower = _lower_twins(rows).astype(np.int32)
     cell = (colors[:, None, :] == np.sort(colors, axis=1)[:, :, None]) @ bit  # by position
     owner = np.arange(count)
-    leaves = np.empty((count, 0), dtype=np.int64)
-    keys = np.zeros((count, n), dtype=np.int64)
-    placed = np.zeros(count, dtype=np.int64)
+    keys = np.zeros((count, n), dtype=np.int32)
+    placed = np.zeros(count, dtype=np.int32)
+    back, placed_at = [], []
     for p in range(n):
         free = ~placed[:, None]
-        ok = (cell[owner, p, None] & free & bit != 0) & (lower[owner] & free == 0)
-        # keys have p < n bits, so 1 << n stands above every candidate
-        cand = np.where(ok, keys, 1 << n)
-        least = np.minimum.reduceat(cand.min(axis=1), np.flatnonzero(np.diff(owner, prepend=-1)))
-        node, v = np.nonzero(cand == least[owner, None])
+        node, v = np.nonzero((cell[owner, p, None] & free & bit != 0) & (lower[owner] & free == 0))
+        key, graph = keys[node, v], owner[node]
+        # every graph keeps a node at every depth, so graph i's pairs are
+        # the i-th run of graph
+        least = np.minimum.reduceat(key, np.flatnonzero(np.diff(graph, prepend=-1)))
+        keep = key == least[graph]
+        node, v = node[keep], v[keep]
+        back.append(node)
+        placed_at.append(v)
         owner = owner[node]
-        leaves = np.column_stack([leaves[node], v])
         keys = 2 * keys[node] + a[owner, :, v]
         placed = placed[node] | bit[v]
-    return leaves, owner
+    leaves = np.empty((len(owner), n), dtype=np.intp)
+    node = np.arange(len(owner))
+    for p in range(n - 1, -1, -1):
+        leaves[:, p] = placed_at[p][node]
+        node = back[p][node]
+    return leaves, owner, keys
 
 
 def _canonical_forms(rows: np.ndarray, a: np.ndarray, colors: np.ndarray):
@@ -343,16 +377,21 @@ def _canonical_forms(rows: np.ndarray, a: np.ndarray, colors: np.ndarray):
 
     Returns (canon, labellings).  canon[i] holds graph i's canonical
     neighbour masks and labellings[i] maps its vertices to their canonical
-    positions; both come from its first leaf.  Every leaf has the minimal
-    code, which depends on the class alone, so isomorphic graphs get equal
-    rows.
+    positions; both come from its first leaf.  At a leaf, bit n-1-q of the
+    key of the vertex at position p is its edge to position q, so canonical
+    row p is that key read backwards, and no adjacency matrix is permuted.
+    Every leaf has the minimal code, which depends on the class alone, so
+    isomorphic graphs get equal rows.
     """
-    count, n = colors.shape
-    leaves, owner = _min_code_leaves(rows, a, colors)
-    first = leaves[np.flatnonzero(np.diff(owner, prepend=-1))]
-    square = (np.arange(count)[:, None, None], first[:, :, None], first[:, None, :])
-    canon = a[square].astype(np.int64) @ (np.int64(1) << np.arange(n, dtype=np.int64))
-    return canon, np.argsort(first, axis=1)
+    n = colors.shape[1]
+    leaves, owner, keys = _min_code_leaves(rows, a, colors)
+    first = np.flatnonzero(np.diff(owner, prepend=-1))
+    order = leaves[first]
+    key = np.take_along_axis(keys[first], order, axis=1)
+    canon = np.zeros_like(key)
+    for q in range(n):
+        canon |= (key >> n - 1 - q & 1) << q
+    return canon, np.argsort(order, axis=1)
 
 
 def canonical_form(g: Graph) -> CanonicalForm:

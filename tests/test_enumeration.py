@@ -283,7 +283,7 @@ class TestFastPaths:
             rows, a, colors = rows[top], a[top], colors[top]
             canon_rows, labellings = _canonical_forms(rows, a, colors)
             canon_a = adjacency_bits(canon_rows)
-            leaves, owner = _min_code_leaves(canon_rows, canon_a, _refine(canon_a))
+            leaves, owner, _ = _min_code_leaves(canon_rows, canon_a, _refine(canon_a))
             per_graph = np.split(leaves, np.flatnonzero(np.diff(owner)) + 1)
             for row, cells, canon_row, got_labelling, got in zip(
                 rows.tolist(), colors.tolist(), canon_rows.tolist(), labellings.tolist(), per_graph,

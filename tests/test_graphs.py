@@ -29,6 +29,7 @@ from starfree.errors import BadEdge, OrderTooLarge, ParseError
 from starfree.graphs import (
     CANONICAL_CEILING,
     Graph,
+    _canonical_forms,
     _connected,
     _min_code_leaves,
     _refine,
@@ -449,11 +450,60 @@ class TestRefinement:
             got = _refine(adjacency_bits([g.adj for g in graphs]))
             assert got.tolist() == [reference_colors(n, g.adj) for g in graphs], n
 
+    def test_keys_are_exact_up_to_order_14(self):
+        # the packed key n * (n + 1)^n passes 2^63 at n = 15; the 14-vertex
+        # path settles last, after 7 rounds
+        with pytest.raises(OrderTooLarge):
+            _refine(np.zeros((1, 15, 15), dtype=np.uint8))
+        got = _refine(adjacency_bits([path_graph(14).adj]))
+        assert got.tolist() == [reference_colors(14, path_graph(14).adj)]
+
     def test_order_zero(self):
         assert _refine(adjacency_bits([empty_graph(0).adj])).shape == (1, 0)
         cf = canonical_form(empty_graph(0))
         assert (cf.code, cf.labelling) == ("?", ())
         assert leaves(empty_graph(0)) == [()]
+
+
+def mixed_stack(n, rng):
+    """Graphs of order n that leave the refinement at different rounds, in
+    shuffled order: random ones (mostly discrete after a round or two),
+    slow settlers (paths, cycles, P + C), twin-heavy ones (K_{a,b},
+    K_{k-1} + mK_1 joined) and the edgeless graph."""
+    graphs = [random_graph(rng, n, p) for p in (0.2, 0.5, 0.8) for _ in range(4)]
+    graphs += [path_graph(n), empty_graph(n), complete_graph(n)]
+    if n >= 3:
+        graphs.append(cycle_graph(n))
+    if n >= 5:
+        graphs.append(union(path_graph(n // 2), cycle_graph(n - n // 2)))
+    graphs += [join(empty_graph(a), empty_graph(n - a)) for a in range(1, n // 2 + 1)]
+    graphs += [join(complete_graph(k - 1), empty_graph(n - k + 1)) for k in range(2, n + 1)]
+    rng.shuffle(graphs)
+    return np.array([g.adj for g in graphs], dtype=np.uint16).reshape(len(graphs), n)
+
+
+class TestStackIndependence:
+    """The batched passes answer each graph of a stack as if it were a stack
+    of one, however long the other graphs take to settle."""
+
+    def test_refinement(self):
+        rng = random.Random(29)
+        for n in range(1, 13):
+            rows = mixed_stack(n, rng)
+            got = _refine(adjacency_bits(rows))
+            alone = [_refine(adjacency_bits(rows[i:i + 1]))[0].tolist() for i in range(len(rows))]
+            assert got.tolist() == alone, n
+
+    def test_canonical_forms(self):
+        rng = random.Random(31)
+        for n in range(1, 13):
+            rows = mixed_stack(n, rng)
+            a = adjacency_bits(rows)
+            canon, labellings = _canonical_forms(rows, a, _refine(a))
+            for i in range(len(rows)):
+                one = rows[i:i + 1]
+                want = _canonical_forms(one, a[i:i + 1], _refine(a[i:i + 1]))
+                assert (canon[i].tolist(), labellings[i].tolist()) == (want[0][0].tolist(), want[1][0].tolist()), n
 
 
 class TestGraph6:
