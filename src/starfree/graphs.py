@@ -21,16 +21,17 @@ takes its candidates as (node, vertex) pairs from the position's cell,
 keeps the pairs of least key per graph, and stores only a back-pointer
 from each new node to its parent and the vertex it placed; the orderings
 are read back once, at the leaves.  The first leaf of each graph gives its
-labelling, and its final keys give its canonical neighbour masks, each row
+vertex order, and its final keys give its canonical neighbour masks, each row
 read backwards (``_canonical_forms``), as arrays, so no automorphism group
 is ever made and no adjacency matrix is permuted.
 The enumerator reads only the twins of the parents it extends, with the
 same ``_lower_twins``, and labels only their children.
 ``canonical_form`` is ``_canonical_forms`` on a stack of one, and the only
-place that builds a ``CanonicalForm`` and its graph6 string; a stack is
-sorted by code without writing one (``_graph6_order``).  Walking the tree
-breadth first is the approach of Traces (B. D. McKay and A. Piperno,
-"Practical graph isomorphism, II", J. Symb. Comput. 60 (2014)).
+place that inverts an order into a labelling and builds a ``CanonicalForm``
+and its graph6 string; a stack is sorted by code without writing one
+(``_graph6_order``).  Walking the tree breadth first is the approach of
+Traces (B. D. McKay and A. Piperno, "Practical graph isomorphism, II",
+J. Symb. Comput. 60 (2014)).
 
 Connectivity and bipartiteness have one path, ``_walks``: one batched
 pass on a stack of rows that finds, from each start mask, the vertices
@@ -375,9 +376,10 @@ def _canonical_forms(rows: np.ndarray, a: np.ndarray, colors: np.ndarray):
     """The canonical forms of N same-order graphs (arguments as in
     ``_min_code_leaves``), as arrays.
 
-    Returns (canon, labellings).  canon[i] holds graph i's canonical
-    neighbour masks and labellings[i] maps its vertices to their canonical
-    positions; both come from its first leaf.  At a leaf, bit n-1-q of the
+    Returns (canon, orders).  canon[i] holds graph i's canonical neighbour
+    masks and orders[i] lists its vertices in canonical order; both come
+    from its first leaf, and np.argsort(orders[i]) is the labelling that
+    maps each vertex to its canonical position.  At a leaf, bit n-1-q of the
     key of the vertex at position p is its edge to position q, so canonical
     row p is that key read backwards, and no adjacency matrix is permuted.
     Every leaf has the minimal code, which depends on the class alone, so
@@ -391,7 +393,7 @@ def _canonical_forms(rows: np.ndarray, a: np.ndarray, colors: np.ndarray):
     canon = np.zeros_like(key)
     for q in range(n):
         canon |= (key >> n - 1 - q & 1) << q
-    return canon, np.argsort(order, axis=1)
+    return canon, order
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -406,9 +408,9 @@ def canonical_form(g: Graph) -> CanonicalForm:
         )
     rows = np.array([g.adj], dtype=np.int64)
     a = adjacency_bits(rows)
-    canon, labellings = _canonical_forms(rows, a, _refine(a))
+    canon, orders = _canonical_forms(rows, a, _refine(a))
     h = Graph(g.n, tuple(canon[0].tolist()))
-    return CanonicalForm(h, graph6_encode(h), tuple(labellings[0].tolist()))
+    return CanonicalForm(h, graph6_encode(h), tuple(np.argsort(orders[0]).tolist()))
 
 
 # ---------------------------------------------------------------------------

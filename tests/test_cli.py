@@ -9,7 +9,13 @@ import pytest
 
 from conftest import count_calls, doctor_spectra
 from starfree import cli, spectra
-from starfree.families import make_complete_bipartite
+from starfree.families import (
+    make_clique_join_matching,
+    make_clique_join_regular,
+    make_complete_bipartite,
+    make_complete_split,
+    make_complete_split_plus_edge,
+)
 from starfree.graphs import graph6_decode, graph6_encode
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -23,10 +29,16 @@ def run(capsys, *argv):
 
 class TestConstructAndQueries:
     def test_construct_complete_bipartite(self, capsys):
-        code, out, _ = run(capsys, "construct", "kb", "2", "9")
-        assert code == 0
-        assert graph6_decode(out.strip()).n == 11
-        assert out.strip() == graph6_encode(make_complete_bipartite(2, 9))
+        # every family that construct names, against its library builder
+        for family, builder, params in (
+            ("f", make_clique_join_matching, (9, 4)),
+            ("s", make_complete_split, (9, 3)),
+            ("splus", make_complete_split_plus_edge, (9, 3)),
+            ("kb", make_complete_bipartite, (2, 9)),
+            ("joinreg", make_clique_join_regular, (10, 3, 3)),
+        ):
+            code, out, _ = run(capsys, "construct", family, *map(str, params))
+            assert (code, out.strip()) == (0, graph6_encode(builder(*params))), family
 
     def test_construct_join_regular(self, capsys):
         code, out, _ = run(capsys, "construct", "joinreg", "10", "3", "3")

@@ -281,7 +281,8 @@ class TestFastPaths:
             colors = _refine(a)
             top = colors[:, -1] == colors.max(axis=1)
             rows, a, colors = rows[top], a[top], colors[top]
-            canon_rows, labellings = _canonical_forms(rows, a, colors)
+            canon_rows, orders = _canonical_forms(rows, a, colors)
+            labellings = np.argsort(orders, axis=1)
             canon_a = adjacency_bits(canon_rows)
             leaves, owner, _ = _min_code_leaves(canon_rows, canon_a, _refine(canon_a))
             per_graph = np.split(leaves, np.flatnonzero(np.diff(owner)) + 1)

@@ -499,11 +499,11 @@ class TestStackIndependence:
         for n in range(1, 13):
             rows = mixed_stack(n, rng)
             a = adjacency_bits(rows)
-            canon, labellings = _canonical_forms(rows, a, _refine(a))
+            canon, orders = _canonical_forms(rows, a, _refine(a))
             for i in range(len(rows)):
                 one = rows[i:i + 1]
                 want = _canonical_forms(one, a[i:i + 1], _refine(a[i:i + 1]))
-                assert (canon[i].tolist(), labellings[i].tolist()) == (want[0][0].tolist(), want[1][0].tolist()), n
+                assert (canon[i].tolist(), orders[i].tolist()) == (want[0][0].tolist(), want[1][0].tolist()), n
 
 
 class TestGraph6:
