@@ -34,13 +34,17 @@ that are output.
 A level is extended a block of ``_BLOCK`` parents at a time, and a block
 is the only batching unit: each takes one straight pass, and yields one
 block of children, which bounds the working memory.  The block's
-attachment masks are pre-tested as one (parents, masks) table (the degree
-test: the new vertex must have maximum degree in the child, integer work
-on the parent's degrees; and for the bipartite tree the odd-walk test,
-from one ``graphs._walks`` pass on the block's rows), then cut to the
-twin-minimal masks, so no parent is refined or labelled.  The cut keeps
-some orbits of a parent's masks more than once, and a class can come from
-several parents; the sort drops both kinds of duplicate.
+attachment masks are pre-tested as one (parents, masks) table by the
+degree test (the new vertex must have maximum degree in the child, one
+product of the parents' top-degree vertices with the mask bits).  Then one
+loop over the vertices v cuts them: to the twin-minimal masks (a mask that
+holds v holds each lower twin of v), and on the bipartite tree also by the
+odd-walk test (a mask that holds v holds no vertex that an odd walk joins
+to v, from one ``graphs._walks`` pass on the block's rows).  All three
+read only what an isomorphism keeps (degrees, twins and walks), so no
+parent is refined or labelled.  The twin cut keeps some orbits of a
+parent's masks more than once, and a class can come from several parents;
+the sort drops both kinds of duplicate.
 
 All the children of a block are then unpacked into adjacency matrices in
 one numpy step, refined in one batched call (``graphs._refine``, the only
@@ -129,34 +133,36 @@ def parse_graph_class(text: str) -> GraphClass:
 def _children(parents: np.ndarray, bipartite_only: bool) -> Iterator[np.ndarray]:
     """The pre-tested children whose masks are twin-minimal, as one block of
     neighbour-mask rows per block of _BLOCK parents (parent order, then mask
-    order)."""
+    order).
+
+    The degree pre-test is one (parents, masks) product.  One loop over the
+    vertices v then applies the per-vertex conditions to a mask that holds
+    v: it holds each lower twin of v, and on the bipartite tree (bipartite
+    parents) it holds no vertex that an odd walk joins to v, so no odd walk
+    joins two of its vertices and the child stays bipartite.
+    """
     m = parents.shape[1]
     masks = np.arange(1 << m, dtype=np.uint16)
     bits = masks[:, None] >> np.arange(m, dtype=masks.dtype) & 1
-    single = np.uint16(1) << np.arange(m, dtype=np.uint16)
     for start in range(0, len(parents), _BLOCK):
         block = parents[start:start + _BLOCK]
         # degree pre-test: the child's largest old degree is top, plus one if
-        # the new vertex is adjacent to a vertex of degree top.  The parents
-        # are bipartite on the bipartite tree, so there a mask keeps the
-        # child bipartite iff no odd walk joins two of its vertices.  Both
-        # tests read only what an isomorphism keeps: degrees and walks
+        # the new vertex is adjacent to a vertex of degree top
         deg = adjacency_bits(block).sum(axis=2)
         top = deg.max(axis=1, keepdims=True)
         keep = bits.sum(axis=1) >= top + ((deg == top) @ bits.T > 0)
-        if bipartite_only:
-            # joined[:, mask] holds the vertices that an odd walk joins to a
-            # vertex of the mask; the masks below 2^(v+1) with bit v set are
-            # those below 2^v plus v, so each pass appends them
-            _, odd = _walks(block, np.broadcast_to(single, block.shape))
-            joined = np.zeros((len(block), 1), dtype=np.uint16)
-            for v in range(m):
-                joined = np.concatenate([joined, joined | odd[:, v, None]], axis=1)
-            keep &= joined & masks == 0
-        # the twin cut: a mask that holds v holds each lower twin of v
         lower = _lower_twins(block)
+        if bipartite_only:
+            # odd[:, v]: the vertices that an odd walk joins to v
+            _, odd = _walks(block, np.broadcast_to(masks[1 << np.arange(m)], block.shape))
         for v in range(m):
-            keep &= (bits[:, v] == 0) | (lower[:, v, None] & ~masks == 0)
+            # the twin cut: a mask that holds v holds each lower twin of v
+            cut = lower[:, v, None] & ~masks
+            if bipartite_only:
+                # the odd-walk cut: and no vertex that an odd walk of the
+                # bipartite parent joins to v
+                cut |= odd[:, v, None] & masks
+            keep &= (bits[:, v] == 0) | (cut == 0)
         parent, mask = np.nonzero(keep)
         yield np.concatenate([block[parent] | bits[mask] << m, masks[mask, None]], axis=1)
 
@@ -167,7 +173,7 @@ def _extend(parents: np.ndarray, bipartite_only: bool) -> np.ndarray:
         a = adjacency_bits(block)
         colors = _refine(a)
         top = colors[:, -1] == colors.max(axis=1)  # top-cell pre-test
-        rows.append(_canonical_forms(block[top], a[top], colors[top])[0].astype(np.uint16))
+        rows.append(_canonical_forms(block[top], a[top], colors[top])[0])
     rows = np.concatenate(rows)
     rows = rows[_graph6_order(rows)]
     # isomorphic children, of one parent or of several, are equal rows, and
@@ -185,6 +191,8 @@ class EnumerationCache:
     def level(self, base: str, n: int) -> np.ndarray:
         """The canonical neighbour masks of the order-n graphs, (N, n) uint16
         in graph6 order."""
+        if n < 1:
+            raise ParamOutOfRange(f"enumeration needs n >= 1, got {n}")
         levels = self._levels[base]
         while len(levels) < n:
             levels.append(_extend(levels[-1], bipartite_only=(base == "bipartite")))

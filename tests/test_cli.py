@@ -16,7 +16,7 @@ from starfree.families import (
     make_complete_split,
     make_complete_split_plus_edge,
 )
-from starfree.graphs import graph6_decode, graph6_encode
+from starfree.graphs import graph6_encode
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,11 +39,6 @@ class TestConstructAndQueries:
         ):
             code, out, _ = run(capsys, "construct", family, *map(str, params))
             assert (code, out.strip()) == (0, graph6_encode(builder(*params))), family
-
-    def test_construct_join_regular(self, capsys):
-        code, out, _ = run(capsys, "construct", "joinreg", "10", "3", "3")
-        assert code == 0
-        assert graph6_decode(out.strip()).n == 10
 
     def test_rho_of_inline_graph(self, capsys):
         g6 = graph6_encode(make_complete_bipartite(2, 9))

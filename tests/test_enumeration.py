@@ -421,6 +421,16 @@ class TestLimits:
             with pytest.raises(OrderTooLarge):
                 list(enumerate_graphs(cls.ceiling + 1, cls, Unbuildable()))
 
+    def test_level_rejects_orders_below_one(self):
+        # levels[n - 1] would count from the end for n < 1: on a cache built
+        # to order 4, order 0 would read the order-4 level
+        cache = EnumerationCache()
+        cache.level("all", 4)
+        for base in ("all", "bipartite"):
+            for n in (0, -1):
+                with pytest.raises(ParamOutOfRange, match="n >= 1"):
+                    cache.level(base, n)
+
     def test_parse_graph_class(self):
         assert parse_graph_class("connected_bipartite") is GraphClass.CONNECTED_BIPARTITE
         with pytest.raises(ParamOutOfRange):
