@@ -60,7 +60,6 @@ from .star_forests import avoids_star_forest, parse_star_forest
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
-EXIT_USAGE = 2
 EXIT_VIOLATIONS = 3
 
 
@@ -84,20 +83,13 @@ def _sig(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _emit(args, payload: dict, table_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in table_lines:
-            print(line)
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (JSON payload, table lines, exit code),
+# with its graph, forest and graph class already decoded by main
 # ---------------------------------------------------------------------------
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> tuple:
     kind = args.family
     arity = 3 if kind == "joinreg" else 2
     if len(args.params) != arity:
@@ -109,19 +101,17 @@ def _cmd_construct(args) -> int:
         "kb": make_complete_bipartite,
         "joinreg": make_clique_join_regular,
     }
-    print(graph6_encode(builders[kind](*args.params)))
-    return EXIT_OK
+    # no payload: the graph6 line is the output with or without --json
+    return None, [graph6_encode(builders[kind](*args.params))], EXIT_OK
 
 
-def _cmd_scalar(args) -> int:
-    value = args.query(_load_graph(args.graph))
-    _emit(args, {args.json_key: value}, [_sig(value)])
-    return EXIT_OK
+def _cmd_scalar(args) -> tuple:
+    value = args.query(args.graph)
+    return {args.json_key: value}, [_sig(value)], EXIT_OK
 
 
-def _cmd_spectrum(args) -> int:
-    g = _load_graph(args.graph)
-    res = adjacency_spectrum(g)
+def _cmd_spectrum(args) -> tuple:
+    res = adjacency_spectrum(args.graph)
     payload = {
         "eigenvalues": list(res.eigenvalues),
         "method": res.method,
@@ -129,19 +119,15 @@ def _cmd_spectrum(args) -> int:
     }
     lines = [" ".join(_sig(x) for x in res.eigenvalues),
              f"method {res.method}  max_residual {_sig(res.max_residual)}"]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, lines, EXIT_OK
 
 
-def _cmd_free(args) -> int:
-    g = _load_graph(args.graph)
-    forest = parse_star_forest(args.forest)
-    free = avoids_star_forest(g, forest)
-    _emit(args, {"free": free, "forest": forest.text()}, ["true" if free else "false"])
-    return EXIT_OK
+def _cmd_free(args) -> tuple:
+    free = avoids_star_forest(args.graph, args.forest)
+    return {"free": free, "forest": args.forest.text()}, ["true" if free else "false"], EXIT_OK
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> tuple:
     name = args.family
     if len(args.params) != len(BOUND_PARAMS[name]):
         args.parser.error(f"bound {name} needs {' '.join(BOUND_PARAMS[name])}")
@@ -149,24 +135,18 @@ def _cmd_bound(args) -> int:
     lines = [f"{rep.name} {rep.params} = {_sig(rep.value)}"]
     if rep.attained_by:
         lines.append(f"attained_by {rep.attained_by}")
-    _emit(args, rep.to_json_dict(), lines)
-    return EXIT_OK
+    return rep.to_json_dict(), lines, EXIT_OK
 
 
-def _cmd_threshold(args) -> int:
-    forest = parse_star_forest(args.forest)
-    rep = threshold_report(args.kind, forest)
+def _cmd_threshold(args) -> tuple:
+    rep = threshold_report(args.kind, args.forest)
     value = rep.value
-    lines = [f"{rep.name} {forest.text()} = {value.numerator}/{value.denominator}"]
-    _emit(args, rep.to_json_dict(), lines)
-    return EXIT_OK
+    lines = [f"{rep.name} {args.forest.text()} = {value.numerator}/{value.denominator}"]
+    return rep.to_json_dict(), lines, EXIT_OK
 
 
-def _cmd_search(args) -> int:
-    forest = parse_star_forest(args.forest)
-    cls = parse_graph_class(args.graph_class)
-    rec = extremal_search(args.n, forest, cls, EnumerationCache())
-    payload = rec.to_json_dict()
+def _cmd_search(args) -> tuple:
+    rec = extremal_search(args.n, args.forest, args.graph_class, EnumerationCache())
     lines = [
         f"n={rec.n} class={rec.graph_class.value} forest={rec.forest.text()}",
         f"enumerated {rec.count_enumerated}  free {rec.count_free}",
@@ -179,11 +159,10 @@ def _cmd_search(args) -> int:
         )
     if args.out:
         write_records([rec], args.out)
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return rec.to_json_dict(), lines, EXIT_OK
 
 
-def _cmd_verify_suite(args) -> int:
+def _cmd_verify_suite(args) -> tuple:
     if args.suite == "lemma23":
         result = verify_join_regular_bound(args.max_n, args.max_k, args.max_d)
         title = f"join-regular radius suite: {result.checked} constructions"
@@ -192,31 +171,25 @@ def _cmd_verify_suite(args) -> int:
         title = f"bipartite suite: {result.checked} graphs"
     lines = [f"{title}, {len(result.failures)} failure(s)"]
     lines += [f"  {f}" for f in result.failures]
-    _emit(args, result.to_json_dict(), lines)
-    return EXIT_VIOLATIONS if result.failures else EXIT_OK
+    return result.to_json_dict(), lines, EXIT_VIOLATIONS if result.failures else EXIT_OK
 
 
-def _cmd_verify_edge(args) -> int:
-    forest = parse_star_forest(args.forest)
-    cls = parse_graph_class(args.graph_class)
-    violations = verify_edge_bound(args.n, forest, cls, EnumerationCache())
+def _cmd_verify_edge(args) -> tuple:
+    violations = verify_edge_bound(args.n, args.forest, args.graph_class, EnumerationCache())
     payload = {
         "suite": "edge",
         "n": args.n,
-        "forest": forest.text(),
-        "class": cls.value,
+        "forest": args.forest.text(),
+        "class": args.graph_class.value,
         "violations": [v.to_json_dict() for v in violations],
     }
     lines = [f"edge bound suite: {len(violations)} violation(s)"]
     lines += [f"  {v.graph6} e={v.edges} bound={v.bound}" for v in violations]
-    _emit(args, payload, lines)
-    return EXIT_VIOLATIONS if violations else EXIT_OK
+    return payload, lines, EXIT_VIOLATIONS if violations else EXIT_OK
 
 
-def _cmd_conjecture(args) -> int:
-    forest = parse_star_forest(args.forest)
-    cls = parse_graph_class(args.graph_class)
-    table = conjecture_margin_table(args.n, forest, cls, EnumerationCache())
+def _cmd_conjecture(args) -> tuple:
+    table = conjecture_margin_table(args.n, args.forest, args.graph_class, EnumerationCache())
     lines = [
         f"n={table.n} class={table.graph_class.value} forest={table.forest.text()}"
         f"  bound {_sig(table.bound_value)}",
@@ -226,13 +199,11 @@ def _cmd_conjecture(args) -> int:
     lines += [f"  {r.graph6}  q={_sig(r.q)}  margin={_sig(r.margin)}" for r in table.rows]
     if args.out:
         write_records(table.rows, args.out)
-    _emit(args, table.to_json_dict(), lines)
-    return EXIT_OK
+    return table.to_json_dict(), lines, EXIT_OK
 
 
-def _cmd_perron(args) -> int:
-    g = _load_graph(args.graph)
-    data = perron_vector(g)
+def _cmd_perron(args) -> tuple:
+    data = perron_vector(args.graph)
     ok, margin = data.floor_check()
     payload = {
         "rho": data.rho,
@@ -246,8 +217,7 @@ def _cmd_perron(args) -> int:
         "vector " + " ".join(_sig(x) for x in data.vector),
         f"min_entry {_sig(data.min_entry)}  floor_ok {str(ok).lower()}  margin {margin!r}",
     ]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, lines, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +313,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # decoded here, not by argparse ``type=``: a ParseError raised inside
+        # parse_args would come before argparse's own usage errors (exit 2)
+        for dest, decode in (("graph", _load_graph), ("forest", parse_star_forest),
+                             ("graph_class", parse_graph_class)):
+            if dest in args:
+                setattr(args, dest, decode(getattr(args, dest)))
+        payload, lines, code = args.fn(args)
+        # a handler prints nothing, so --out is written before any output
+        if args.json and payload is not None:
+            lines = [json.dumps(payload, sort_keys=True)]
+        print(*lines, sep="\n")
+        return code
     except StarfreeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -80,6 +80,37 @@ def test_every_public_definition_has_a_caller():
     assert [name for name in _public_definitions() if name.split(".")[1] not in used] == []
 
 
+def _assigned_names(source: str) -> list[str]:
+    """The names that the module's top-level assignments bind, private ones
+    too; dunder names such as ``__version__`` are left out, since tools read
+    them."""
+    return [target.id
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in ast.walk(node)
+            if isinstance(target, ast.Name) and isinstance(target.ctx, ast.Store)
+            and not (target.id.startswith("__") and target.id.endswith("__"))]
+
+
+def test_assignments_are_read_from_code():
+    source = (
+        '__version__ = "0.1.0"\n'
+        "LIMIT = 9\n"
+        "_table: dict = {}\n"
+        "_table[LIMIT] = 1\n"
+        "first, (second, _third) = 1, (2, 3)\n"
+        "def f():\n"
+        "    inner = 1\n"
+    )
+    assert _assigned_names(source) == ["LIMIT", "_table", "first", "second", "_third"]
+
+
+def test_every_module_level_name_has_a_reader():
+    used = _callers()
+    assert [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+            for name in _assigned_names(path.read_text()) if name not in used] == []
+
+
 #: numpy attributes that numpy 1.24, the oldest numpy that pyproject.toml
 #: allows, does not have: the numpy 2.0-2.2 additions, and ``exceptions``
 #: and ``dtypes`` from 1.25.  ``bool`` was removed in 1.24 and is back in 2.0.

@@ -37,8 +37,11 @@ class TestConstructAndQueries:
             ("kb", make_complete_bipartite, (2, 9)),
             ("joinreg", make_clique_join_regular, (10, 3, 3)),
         ):
-            code, out, _ = run(capsys, "construct", family, *map(str, params))
-            assert (code, out.strip()) == (0, graph6_encode(builder(*params))), family
+            # construct has no JSON payload: --json prints the same graph6 line
+            line = graph6_encode(builder(*params)) + "\n"
+            for mode in ((), ("--json",)):
+                argv = (*mode, "construct", family, *map(str, params))
+                assert run(capsys, *argv) == (0, line, ""), argv
 
     def test_rho_of_inline_graph(self, capsys):
         g6 = graph6_encode(make_complete_bipartite(2, 9))
@@ -68,6 +71,15 @@ class TestConstructAndQueries:
             code, out, err = run(capsys, "free", "Dhc", forest)
             assert (code, out) == (1, ""), forest
             assert err == f"error: ParseError: bad star forest text {forest!r}\n"
+
+    def test_arguments_decode_in_order(self, capsys):
+        # graph6 first, then the forest, then the class: the first bad one is reported
+        forest_error = "error: ParseError: bad star forest text '2,,1'\n"
+        assert run(capsys, "free", "~~~nope!", "2,,1") == (
+            1, "", "error: ParseError: invalid graph6 byte '!' (byte offset 7)\n")
+        for argv in (("search", "6", "2,,1", "nosuch"), ("conjecture", "6", "2,,1", "nosuch"),
+                     ("verify", "edge", "6", "2,,1", "nosuch")):
+            assert run(capsys, *argv) == (1, "", forest_error), argv
 
     def test_scalar_queries(self, capsys):
         k29 = graph6_encode(make_complete_bipartite(2, 9))
