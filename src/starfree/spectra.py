@@ -20,8 +20,12 @@ Perron vector also carries an explicit residual certificate.
 Full spectra have two paths for now.  ``adjacency_spectra`` takes a stack
 of rows and calls ``numpy.linalg.eigh`` on blocks of at most ``_BLOCK``
 matrices.  ``adjacency_spectrum`` takes one graph and runs a
-self-contained cyclic Jacobi rotation eigensolver (dense, O(n^3) per sweep).
-Both, and the Perron vector, must pass one residual certificate,
+self-contained cyclic Jacobi rotation eigensolver (dense, O(n^3) per sweep)
+in round-robin order (Brent & Luk, SIAM J. Sci. Stat. Comput. 6 (1985)
+69-84): each sweep is a schedule of rounds of disjoint pairs, and one
+vectorised update applies a round.  A round equals its rotations applied
+one by one, because each rotation reads and writes only its own two rows
+and columns.  Both, and the Perron vector, must pass one residual certificate,
 max ||A V - V diag(lam)||_inf <= _RESIDUAL_TOL * max(1, ||lam||_inf), or
 ArithmeticError is raised.  Jacobi is the oracle independent of LAPACK that
 the tests compare every LAPACK path against.  The second full-spectrum path is
@@ -36,15 +40,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .errors import Disconnected, EmptyGraph
 from .graphs import Graph, _connected, adjacency_bits
 
-#: Jacobi stops when the off-diagonal Frobenius norm drops below this times
-#: max(1, ||M||_F), or after _MAX_SWEEPS sweeps.
-SOLVER_TOL = 1e-12
+# Jacobi stops when the off-diagonal Frobenius norm of an order-n matrix M
+# drops to 1e-15 * n * max(1, ||M||_F), or after this many sweeps
 _MAX_SWEEPS = 60
 
 # ceiling on ||A x - rho x||_inf / max(1, rho) for the Perron vector x (max
@@ -112,23 +116,61 @@ def _matrices(rows: np.ndarray, signless: bool) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _rounds(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The round-robin (circle-method) schedule of the pairs of range(n),
+    made once per order and shared, so its arrays are read-only.
+
+    Each round is a pair of index arrays (p, q) with p < q, and no index
+    appears twice in a round.  Every pair p < q appears in exactly one
+    round: n - 1 rounds for even n >= 2, n rounds for odd n >= 3 (a dummy
+    index makes the order even, and its pairs are dropped), none for n < 2.
+    """
+    if n < 2:
+        return ()
+    m = n + n % 2
+    ring = np.arange(1, m)
+    rounds = []
+    for r in range(m - 1):
+        # seat 0 stays put and the others turn one place a round; seat i
+        # meets seat m - 1 - i
+        seats = np.concatenate(([0], np.roll(ring, r)))
+        x, y = seats[:m // 2], seats[::-1][:m // 2]
+        p, q = np.minimum(x, y), np.maximum(x, y)
+        real = q < n
+        p, q = p[real], q[real]
+        p.flags.writeable = q.flags.writeable = False
+        rounds.append((p, q))
+    return tuple(rounds)
+
+
 def jacobi_eigensystem(matrix: np.ndarray):
     """All eigenpairs of a symmetric matrix by cyclic Jacobi rotations.
+
+    A sweep visits every pair once, in the round-robin order of ``_rounds``
+    (Brent & Luk, SIAM J. Sci. Stat. Comput. 6 (1985) 69-84; Golub & Van
+    Loan, *Matrix Computations*, 8.5), and each round's rotations are
+    applied in one vectorised update.  The pairs of a round are disjoint
+    and each rotation angle reads only a[p, p], a[q, q] and a[p, q], which
+    the round's other rotations leave alone, so a round equals its
+    rotations applied one by one.
 
     Returns (values descending, vectors as columns in matching order,
     max eigenpair residual ||Mx - lam x||_inf).
     """
     m = np.asarray(matrix, dtype=float)
     n = m.shape[0]
-    a = m.copy()
-    v = np.eye(n)
+    # a stacked on v: a column rotation turns both, a row rotation only a
+    av = np.vstack((m, np.eye(n)))
+    a, v = av[:n], av[n:]
     scale = max(1.0, float(np.linalg.norm(m)))
-    # drive well past the documented 1e-12 off-norm tolerance; convergence is
-    # quadratic at the end so the extra sweeps are nearly free and keep the
+    # drive the off-norm to 1e-15 * n * max(1, ||M||_F); convergence is
+    # quadratic at the end so the last sweeps are nearly free and keep the
     # eigenpair residuals near machine precision
-    target = min(SOLVER_TOL, 1e-15 * n) * scale
+    target = 1e-15 * n * scale
     skip = target / max(1, 2 * n * n)
     diag = np.diag_indices(n)
+    rounds = _rounds(n)
     for _ in range(_MAX_SWEEPS):
         # sum only the off-diagonal squares; subtracting the diagonal from the
         # total cancels catastrophically once the matrix is nearly diagonal
@@ -137,28 +179,27 @@ def jacobi_eigensystem(matrix: np.ndarray):
         off = float(np.linalg.norm(b))
         if off <= target:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = c * ap - s * aq
-                a[:, q] = s * ap + c * aq
-                ap = a[p, :].copy()
-                aq = a[q, :].copy()
-                a[p, :] = c * ap - s * aq
-                a[q, :] = s * ap + c * aq
-                a[p, q] = a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
+        for p, q in rounds:
+            apq = a[p, q]
+            live = np.abs(apq) > skip
+            if not live.any():
+                continue
+            p, q, apq = p[live], q[live], apq[live]
+            theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+            t = np.copysign(1.0, theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            ap = av[:, p]
+            aq = av[:, q]
+            av[:, p] = c * ap - s * aq
+            av[:, q] = s * ap + c * aq
+            c = c[:, None]
+            s = s[:, None]
+            ap = a[p, :]
+            aq = a[q, :]
+            a[p, :] = c * ap - s * aq
+            a[q, :] = s * ap + c * aq
+            a[p, q] = a[q, p] = 0.0
     vals = np.diag(a).copy()
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     adjacency_matrix,
+    count_calls,
     cycle_graph,
     degrees,
     edge_count,
@@ -18,7 +19,11 @@ from conftest import (
 from starfree import spectra
 from starfree.enumeration import GraphClass, enumerate_graphs
 from starfree.errors import Disconnected, EmptyGraph
-from starfree.families import make_clique_join_matching, radius_bound_general
+from starfree.families import (
+    make_clique_join_matching,
+    make_clique_join_regular,
+    radius_bound_general,
+)
 from starfree.graphs import (
     complete_graph,
     empty_graph,
@@ -91,6 +96,55 @@ class TestFullSpectrum:
         vals, vecs, res = jacobi_eigensystem(m)
         assert res < 1e-10
         assert np.allclose(np.sort(vals), np.linalg.eigvalsh(m), atol=1e-10)
+
+
+class TestJacobiRounds:
+    """The round-robin schedule, and the solver on the orders and zero
+    blocks that exercise it."""
+
+    def test_every_pair_once_in_disjoint_rounds(self):
+        for n in range(65):
+            rounds = spectra._rounds(n)
+            assert len(rounds) == (0 if n < 2 else n - 1 if n % 2 == 0 else n), n
+            pairs = []
+            for p, q in rounds:
+                assert len(p) == len(q) > 0, n
+                assert np.all(p < q), n
+                assert len(set(p.tolist()) | set(q.tolist())) == 2 * len(p), n
+                pairs += zip(p.tolist(), q.tolist())
+            assert sorted(pairs) == [(p, q) for p in range(n) for q in range(p + 1, n)], n
+
+    @staticmethod
+    def solve(monkeypatch, m):
+        """Jacobi's eigenvalues of m, checked against ``eigvalsh``, the
+        residual certificate and the sweep cap."""
+        with monkeypatch.context() as patch:
+            norms = count_calls(patch, "norm", np.linalg)
+            vals, _, res = jacobi_eigensystem(m)
+        assert np.max(np.abs(vals[::-1] - np.linalg.eigvalsh(m))) <= 1e-10
+        assert res <= spectra._RESIDUAL_TOL * max(1.0, float(np.max(np.abs(vals))))
+        # one norm scales the target and one tests each sweep's start, so
+        # fewer tests than the cap means that one of them stopped the solver
+        assert len(norms) - 1 < spectra._MAX_SWEEPS
+        return vals
+
+    def test_random_odd_orders(self, monkeypatch):
+        rng = random.Random(41)
+        for n in (41, 63):
+            g = from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5])
+            self.solve(monkeypatch, adjacency_matrix(g))
+
+    def test_clique_join_regular(self, monkeypatch):
+        # order 33: 33 rounds of 16 pairs
+        vals = self.solve(monkeypatch, adjacency_matrix(make_clique_join_regular(33, 3, 3)))
+        assert vals[0] == pytest.approx(radius_bound_general(33, 3, 3), abs=TOL)
+
+    def test_disjoint_cliques(self, monkeypatch):
+        # the zero blocks between the cliques leave some pairs of a round,
+        # and some whole rounds, with nothing to rotate
+        g = union(union(complete_graph(3), complete_graph(4)), complete_graph(5))
+        vals = self.solve(monkeypatch, adjacency_matrix(g))
+        assert vals == pytest.approx([4, 3, 2] + [-1] * 9, abs=TOL)
 
 
 def triangle_count(g) -> int:
